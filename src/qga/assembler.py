@@ -6,7 +6,10 @@ a pair of chosen vertices at minimum total cost.  That is equivalent to a
 minimum-cost size-m conflict-free matching on a bipartite graph whose left
 nodes are vertex pairs and whose right nodes are the (condensed) edge sets.
 
-The solver is a best-first branch and bound over partial matchings, with a
+The graph is held as flat arrays sorted by weight, so one query costs O(E)
+memory; two crossing edges conflict when ``compatible_with`` says so, not
+through a stored E x E matrix.  The solver is a best-first branch and bound
+over partial matchings that generates each state's children lazily, with a
 pluggable admissible lower bound (naive / km / greedy).  A brute-force
 oracle, a 3-SAT reduction, and an exact-completion helper for auditing the
 bounds live here as well.
@@ -17,12 +20,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .embedding import DIR_FORWARD, condensed_edge_weight
+from .embedding import DIR_FORWARD, condensed_edge_weights
 from .errors import ResourceLimitError
 
 FREE_VAR = -1  # synthetic vertex standing for an untyped variable
@@ -100,7 +104,7 @@ class CrossingEdge:
 def conflicts(e: CrossingEdge, f: CrossingEdge) -> bool:
     """Mutual exclusion between two crossing edges of the same graph:
     different vertices from a shared vertex set, a shared right node, or a
-    shared left node."""
+    shared left node.  The pairwise reference for ``compatible_with``."""
     if e.right == f.right:
         return True
     if e.left == f.left:
@@ -112,101 +116,153 @@ def conflicts(e: CrossingEdge, f: CrossingEdge) -> bool:
     return False
 
 
+UNBOUND = -2  # slot value for a set the left node does not touch; never an item id or FREE_VAR
+
+
 @dataclass
 class CondensedBipartiteGraph:
+    """The condensed bipartite graph as a struct of arrays.
+
+    Left node ``l`` wires the vertex pair ``left_nodes[l] = (set1, vertex1,
+    set2, vertex2)``; ``slots[l, i]`` is its vertex in set ``i``, or UNBOUND
+    for the n - 2 sets it does not touch.  Crossing edge ``e`` joins left
+    node ``lefts[e]`` to edge set ``rights[e]``; edges are sorted by
+    (weight, left, right).  Memory is O(E + L·n): conflicts are tested on
+    demand by ``compatible_with``.
+    """
+
     sets: CandidateSets
-    left_nodes: list[tuple[int, int, int, int]]  # (set1, vertex1, set2, vertex2)
-    edges: list[CrossingEdge]  # sorted by (weight, left, right)
+    left_nodes: np.ndarray  # (L, 4) int64
+    slots: np.ndarray  # (L, n) int64
     weights: np.ndarray  # (E,) float64, nondecreasing
-    rights: np.ndarray  # (E,) int64
     lefts: np.ndarray  # (E,) int64
-    conflict: np.ndarray  # (E, E) bool
+    rights: np.ndarray  # (E,) int64
+    best_p: np.ndarray  # (E,) int64
+    direction: np.ndarray  # (E,) int8
 
     @property
     def num_edge_sets(self) -> int:
         return self.sets.m
 
+    @property
+    def edges(self) -> CrossingEdges:
+        """The crossing edges as objects, built one at a time on access."""
+        return CrossingEdges(self)
 
-def _conflict_matrix(sets: CandidateSets, edges: list[CrossingEdge]) -> np.ndarray:
-    ne = len(edges)
-    rights = np.array([e.right for e in edges], dtype=np.int64)
-    lefts = np.array([e.left for e in edges], dtype=np.int64)
-    conf = rights[:, None] == rights[None, :]
-    conf |= lefts[:, None] == lefts[None, :]
-    # one value per vertex set; -1 marks "not constrained by this edge"
-    assign = np.full((ne, sets.n), -1, dtype=np.int64)
-    for idx, e in enumerate(edges):
-        assign[idx, e.set1] = sets.vertex_sets[e.set1].index(e.vertex1)
-        assign[idx, e.set2] = sets.vertex_sets[e.set2].index(e.vertex2)
-    for i in range(sets.n):
-        col = assign[:, i]
-        bound = col >= 0
-        conf |= (col[:, None] != col[None, :]) & bound[:, None] & bound[None, :]
-    np.fill_diagonal(conf, False)
-    return conf
+    def edge(self, index: int) -> CrossingEdge:
+        left = int(self.lefts[index])
+        set1, vertex1, set2, vertex2 = self.left_nodes[left].tolist()
+        return CrossingEdge(
+            index=index,
+            left=left,
+            right=int(self.rights[index]),
+            set1=set1,
+            vertex1=vertex1,
+            set2=set2,
+            vertex2=vertex2,
+            weight=float(self.weights[index]),
+            best_p=int(self.best_p[index]),
+            direction=int(self.direction[index]),
+        )
+
+
+class CrossingEdges(Sequence):
+    """Read-only view of a graph's crossing edges; ``len`` builds nothing."""
+
+    def __init__(self, graph: CondensedBipartiteGraph):
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return len(self._graph.weights)
+
+    def __getitem__(self, index: int) -> CrossingEdge:
+        if not -len(self) <= index < len(self):
+            raise IndexError("crossing edge index out of range")
+        return self._graph.edge(index % len(self))
+
+
+def compatible_with(graph: CondensedBipartiteGraph, e: int, rest: np.ndarray) -> np.ndarray:
+    """Mask over the edge indices ``rest``: True where the edge can join a
+    matching that holds edge ``e``.  It needs another right node, another
+    left node, and the same vertex wherever the two left nodes share a set."""
+    left = graph.lefts[e]
+    rest_lefts = graph.lefts[rest]
+    ok = (graph.rights[rest] != graph.rights[e]) & (rest_lefts != left)
+    slots = graph.slots
+    for s in graph.left_nodes[left, ::2]:
+        col = slots[rest_lefts, s]
+        ok &= (col == UNBOUND) | (col == slots[left, s])
+    return ok
 
 
 def build_condensed_graph(sets: CandidateSets, cost_source) -> CondensedBipartiteGraph:
     """Materialize every vertex pair, weight every crossing edge, and sort.
 
-    ``cost_source(set1, v1, set2, v2, j, predicates)`` must return
-    ``(weight, best_predicate, direction)``.  Pairs involving a synthetic
-    free variable are wired at zero cost with the first candidate predicate.
+    ``cost_source(set1, v1, set2, v2, j, predicates)`` is called once per
+    edge set ``j``; its first four arguments are int64 arrays over the left
+    nodes that bind no free variable, and it returns ``(weights, best_p,
+    direction)`` arrays aligned with them.  Pairs involving a synthetic
+    free variable are wired at zero cost with the smallest candidate
+    predicate.  One stable argsort of the (L, m) weight grid, whose flat
+    index is ``left * m + right``, gives the (weight, left, right) order.
     """
     n, m = sets.n, sets.m
     if m >= 1 and n < 2:
         raise ValueError("need at least two vertex sets to place predicate edges")
-    left_nodes: list[tuple[int, int, int, int]] = []
-    for i1, i2 in itertools.combinations(range(n), 2):
-        for v1 in sets.vertex_sets[i1]:
-            for v2 in sets.vertex_sets[i2]:
-                left_nodes.append((i1, v1, i2, v2))
+    vertex_sets = sets.vertex_sets
+    left_nodes = np.array(
+        [
+            (i1, v1, i2, v2)
+            for i1, i2 in itertools.combinations(range(n), 2)
+            for v1 in vertex_sets[i1]
+            for v2 in vertex_sets[i2]
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    set1, vertex1, set2, vertex2 = left_nodes.T
+    num_left = len(left_nodes)
+    slots = np.full((num_left, n), UNBOUND, dtype=np.int64)
+    at = np.arange(num_left)
+    slots[at, set1] = vertex1
+    slots[at, set2] = vertex2
 
-    raw = []
-    for left, (i1, v1, i2, v2) in enumerate(left_nodes):
-        for j, predicates in enumerate(sets.edge_sets):
-            if v1 == FREE_VAR or v2 == FREE_VAR:
-                w, best_p, direction = 0.0, min(predicates), DIR_FORWARD
-            else:
-                w, best_p, direction = cost_source(i1, v1, i2, v2, j, predicates)
-            raw.append((w, left, j, best_p, direction))
-    raw.sort(key=lambda r: (r[0], r[1], r[2]))
-
-    edges = []
-    for index, (w, left, j, best_p, direction) in enumerate(raw):
-        i1, v1, i2, v2 = left_nodes[left]
-        edges.append(
-            CrossingEdge(
-                index=index,
-                left=left,
-                right=j,
-                set1=i1,
-                vertex1=v1,
-                set2=i2,
-                vertex2=v2,
-                weight=w,
-                best_p=best_p,
-                direction=direction,
+    weights = np.zeros((num_left, m))
+    best_p = np.empty((num_left, m), dtype=np.int64)
+    direction = np.full((num_left, m), DIR_FORWARD, dtype=np.int8)
+    free = None
+    costed = slice(None)
+    if any(FREE_VAR in vs for vs in vertex_sets):
+        free = (vertex1 == FREE_VAR) | (vertex2 == FREE_VAR)
+        costed = ~free
+    costed_nodes = (set1[costed], vertex1[costed], set2[costed], vertex2[costed])
+    for j, predicates in enumerate(sets.edge_sets):
+        if free is not None:
+            best_p[free, j] = min(predicates)
+        if len(costed_nodes[0]):
+            weights[costed, j], best_p[costed, j], direction[costed, j] = cost_source(
+                *costed_nodes, j, predicates
             )
-        )
-    weights = np.array([e.weight for e in edges], dtype=np.float64)
-    rights = np.array([e.right for e in edges], dtype=np.int64)
-    lefts = np.array([e.left for e in edges], dtype=np.int64)
-    conflict = _conflict_matrix(sets, edges)
+
+    order = np.argsort(weights.ravel(), kind="stable")
+    lefts, rights = np.divmod(order, max(m, 1))
     return CondensedBipartiteGraph(
         sets=sets,
         left_nodes=left_nodes,
-        edges=edges,
-        weights=weights,
-        rights=rights,
+        slots=slots,
+        weights=weights.ravel()[order],
         lefts=lefts,
-        conflict=conflict,
+        rights=rights,
+        best_p=best_p.ravel()[order],
+        direction=direction.ravel()[order],
     )
 
 
 def embedding_cost_source(table):
-    def source(i1, v1, i2, v2, j, predicates):
-        return condensed_edge_weight(table, v1, v2, predicates)
+    """Edge weights from translation embeddings: per left node, the
+    cheapest predicate of the edge set and its direction."""
+
+    def source(set1, v1, set2, v2, j, predicates):
+        return condensed_edge_weights(table, v1, v2, predicates)
 
     return source
 
@@ -214,8 +270,15 @@ def embedding_cost_source(table):
 def table_cost_source(weight_table: dict):
     """Cost source backed by a dict keyed (set1, v1, set2, v2, j)."""
 
-    def source(i1, v1, i2, v2, j, predicates):
-        return weight_table[(i1, v1, i2, v2, j)]
+    def source(set1, v1, set2, v2, j, predicates):
+        keys = zip(set1.tolist(), v1.tolist(), set2.tolist(), v2.tolist())
+        rows = [weight_table[(i1, a, i2, b, j)] for i1, a, i2, b in keys]
+        weights, best_p, direction = zip(*rows)
+        return (
+            np.array(weights, dtype=np.float64),
+            np.array(best_p, dtype=np.int64),
+            np.array(direction, dtype=np.int8),
+        )
 
     return source
 
@@ -361,12 +424,24 @@ class QueryGraph:
 
 @dataclass
 class SolveStats:
-    """pushed = queue insertions (incl. the root); popped = expansions;
-    pruned = dead children never pushed plus states left queued at cutoff."""
+    """Search counters.  A search state is a partial matching.
+
+    states_pushed: states put on the queue, the root included.  A child is
+    put there when its sibling stream reaches it and its bound is finite.
+    states_popped: states taken off the queue, i.e. expanded partial
+    matchings; the pop that meets the incumbent and stops the search counts.
+    states_pruned: children whose bound is infinite, plus states still
+    queued when the search stops.  Siblings that a stream never reached are
+    not counted.
+    bound_evaluations: lower-bound calls, one per child materialized.
+    Sibling-stream entries share the queue but are not states: no counter
+    includes them.
+    """
 
     states_pushed: int = 0
     states_popped: int = 0
     states_pruned: int = 0
+    bound_evaluations: int = 0
 
 
 def _graph_from_matched(graph: CondensedBipartiteGraph, matched: tuple[int, ...]) -> QueryGraph:
@@ -375,19 +450,20 @@ def _graph_from_matched(graph: CondensedBipartiteGraph, matched: tuple[int, ...]
     edges = []
     total = 0.0
     for idx in matched:
-        e = graph.edges[idx]
-        chosen[e.set1] = e.vertex1
-        chosen[e.set2] = e.vertex2
-        total = total + e.weight
+        set1, vertex1, set2, vertex2 = graph.left_nodes[graph.lefts[idx]].tolist()
+        weight = float(graph.weights[idx])
+        chosen[set1] = vertex1
+        chosen[set2] = vertex2
+        total = total + weight
         edges.append(
             AssembledEdge(
-                set1=e.set1,
-                vertex1=e.vertex1,
-                set2=e.set2,
-                vertex2=e.vertex2,
-                predicate=e.best_p,
-                direction=e.direction,
-                weight=e.weight,
+                set1=set1,
+                vertex1=vertex1,
+                set2=set2,
+                vertex2=vertex2,
+                predicate=int(graph.best_p[idx]),
+                direction=int(graph.direction[idx]),
+                weight=weight,
             )
         )
     for i in range(sets.n):
@@ -405,12 +481,20 @@ def solve_qga(
     """Best-first branch and bound for the minimum-cost size-m matching.
 
     Returns ``(QueryGraph, stats)`` or ``(None, stats)`` when no size-m
-    matching exists.  The priority queue orders states by lower bound
-    (ties: cost, then more matched edges, then insertion order — deeper
-    states first, so plateaus of equal bounds are explored depth-first);
-    the search stops when the head's bound reaches the incumbent.
-    ``state_hook`` is called with every popped state (used by the
-    admissibility audit).
+    matching exists.  Children are generated lazily (Lawler 1972): popping a
+    state with ``need`` >= 2 unmatched relations queues one sibling stream
+    over its compatible edges ``z``.  Stream entry ``t`` is keyed by
+    ``cost + sum(w[z[t : t+need]])``, the naive bound with conflicts
+    ignored, which is admissible for every child ``t' >= t`` and
+    nondecreasing in ``t``.  Popping it materializes and bounds child ``t``
+    and queues entry ``t + 1``.  A state with one unmatched relation
+    completes with ``z[0]``, its cheapest compatible edge.
+
+    The queue orders entries by key (ties: cost, then more matched edges,
+    then insertion order — deeper first, so plateaus of equal bounds are
+    explored depth-first); the search stops when the head's key reaches the
+    incumbent.  ``state_hook`` is called with every popped state (used by
+    the admissibility audit).
     """
     if bound not in LOWER_BOUNDS:
         raise ValueError(f"unknown bound {bound!r}, expected one of {BOUND_NAMES}")
@@ -420,59 +504,72 @@ def solve_qga(
     if m == 0:
         return _graph_from_matched(graph, ()), stats
 
-    ne = len(graph.edges)
     weights = graph.weights
-    conflict = graph.conflict
     root = SearchState(
         graph=graph,
         matched=(),
-        compatible=np.arange(ne, dtype=np.int64),
+        compatible=np.arange(len(weights), dtype=np.int64),
         cost=0.0,
         lower_bound=0.0,
     )
-    heap = [(0.0, 0.0, 0, 0, root)]
+    # entries: (key, cost, -depth, seq, state, t); t < 0 marks a state,
+    # t >= 0 the sibling stream of the state's children t, t + 1, ...
+    heap = [(0.0, 0.0, 0, 0, root, -1)]
     seq = itertools.count(1)
     stats.states_pushed = 1
     theta = math.inf
     best: tuple[int, ...] | None = None
 
+    def push_siblings(state: SearchState, t: int) -> None:
+        z = state.compatible
+        need = m - len(state.matched)
+        if t + need > len(z):
+            return
+        # summed as naive_lb sums child t's bound, so the key never exceeds it
+        cost = state.cost + float(weights[z[t]])
+        key = cost + float(weights[z[t + 1 : t + need]].sum())
+        if key < theta:
+            heapq.heappush(heap, (key, cost, -len(state.matched) - 1, next(seq), state, t))
+
     while heap:
-        lb, _, _, _, state = heapq.heappop(heap)
-        stats.states_popped += 1
-        if state_hook is not None:
-            state_hook(state)
-        if lb >= theta:
+        key, _, _, _, state, t = heapq.heappop(heap)
+        if t < 0:
+            stats.states_popped += 1
+            if state_hook is not None:
+                state_hook(state)
+        if key >= theta:
             break
         z = state.compatible
-        depth = len(state.matched)
-        for t in range(len(z)):
-            e = int(z[t])
-            new_cost = state.cost + float(weights[e])
-            new_matched = state.matched + (e,)
-            if depth + 1 == m:
-                if new_cost < theta:
-                    theta = new_cost
-                    best = new_matched
-                continue
-            rest = z[t + 1 :]
-            child_z = rest[~conflict[e, rest]]
-            child = SearchState(
-                graph=graph,
-                matched=new_matched,
-                compatible=child_z,
-                cost=new_cost,
-            )
-            child.lower_bound = lb_fn(child, m)
-            if math.isinf(child.lower_bound):
-                stats.states_pruned += 1
-                continue
+        if t < 0:
+            if m - len(state.matched) > 1:
+                push_siblings(state, 0)
+            elif len(z):
+                cost = state.cost + float(weights[z[0]])
+                if cost < theta:
+                    theta = cost
+                    best = state.matched + (int(z[0]),)
+            continue
+        e = int(z[t])
+        rest = z[t + 1 :]
+        child = SearchState(
+            graph=graph,
+            matched=state.matched + (e,),
+            compatible=rest[compatible_with(graph, e, rest)],
+            cost=state.cost + float(weights[e]),
+        )
+        child.lower_bound = lb_fn(child, m)
+        stats.bound_evaluations += 1
+        if math.isinf(child.lower_bound):
+            stats.states_pruned += 1
+        else:
             heapq.heappush(
                 heap,
-                (child.lower_bound, child.cost, -len(new_matched), next(seq), child),
+                (child.lower_bound, child.cost, -len(child.matched), next(seq), child, -1),
             )
             stats.states_pushed += 1
+        push_siblings(state, t + 1)
 
-    stats.states_pruned += len(heap)
+    stats.states_pruned += sum(1 for entry in heap if entry[5] < 0)
     if best is None:
         return None, stats
     return _graph_from_matched(graph, best), stats
@@ -488,7 +585,6 @@ def optimal_completion_cost(graph: CondensedBipartiteGraph, state: SearchState, 
     if need <= 0:
         return state.cost
     weights = graph.weights
-    conflict = graph.conflict
     best = math.inf
 
     def rec(z: np.ndarray, acc: float, left: int) -> None:
@@ -505,7 +601,7 @@ def optimal_completion_cost(graph: CondensedBipartiteGraph, state: SearchState, 
             if nxt >= best:
                 break  # weights ascending: later starts cost at least this
             rest = z[t + 1 :]
-            rec(rest[~conflict[e, rest]], nxt, left - 1)
+            rec(rest[compatible_with(graph, e, rest)], nxt, left - 1)
 
     rec(state.compatible, state.cost, need)
     return best
@@ -604,9 +700,13 @@ def reduce_3sat(num_vars: int, clauses) -> CondensedBipartiteGraph:
         for lit in clause
     }
 
-    def source(i1, v1, i2, v2, j, predicates):
-        key = (min(v1, v2), max(v1, v2), j)
-        w = 0.0 if key in zero_pairs else 1.0
-        return w, predicates[0], DIR_FORWARD
+    def source(set1, v1, set2, v2, j, predicates):
+        pairs = zip(np.minimum(v1, v2).tolist(), np.maximum(v1, v2).tolist())
+        weights = np.array([0.0 if (a, b, j) in zero_pairs else 1.0 for a, b in pairs])
+        return (
+            weights,
+            np.full(len(weights), predicates[0], dtype=np.int64),
+            np.full(len(weights), DIR_FORWARD, dtype=np.int8),
+        )
 
     return build_condensed_graph(sets, source)

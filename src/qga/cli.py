@@ -121,7 +121,7 @@ def cmd_solve(args) -> int:
     if args.stats:
         print(
             f"states pushed={stats.states_pushed} popped={stats.states_popped} "
-            f"pruned={stats.states_pruned}"
+            f"pruned={stats.states_pruned} bound_evaluations={stats.bound_evaluations}"
         )
     if q is None:
         print("infeasible: no conflict-free size-m matching")

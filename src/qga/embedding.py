@@ -59,9 +59,23 @@ class EmbeddingTable:
             raise UnknownItemError(f"no vector for item id {item!r}")
         return self.vectors[item]
 
+    def has_vector(self, ids) -> np.ndarray:
+        """Boolean mask over a 1-d id array: True where the item has a vector."""
+        ids = np.asarray(ids, dtype=np.int64)
+        ok = (ids >= 0) & (ids < self.vectors.shape[0])
+        ok[ok] = self.has[ids[ok]]
+        return ok
+
     def require(self, *ids):
+        """Raise UnknownItemError for the first id, in argument order, that
+        has no vector.  Each argument is an item id or an array of ids."""
         for i in ids:
-            self.vector(i)
+            if not isinstance(i, np.ndarray):
+                self.vector(i)
+                continue
+            ok = self.has_vector(i)
+            if not ok.all():
+                raise UnknownItemError(f"no vector for item id {i[np.argmin(ok)].item()!r}")
 
 
 def _init_table(kg: KnowledgeGraph, config: TrainConfig) -> tuple[EmbeddingTable, np.ndarray]:
@@ -264,3 +278,23 @@ def condensed_edge_weight(table: EmbeddingTable, v1: int, v2: int, predicates):
     )
     best = int(np.argmin(costs))
     return float(costs[best]), preds[best], int(dirs[best])
+
+
+def condensed_edge_weights(table: EmbeddingTable, v1, v2, predicates):
+    """``condensed_edge_weight`` for many vertex pairs at once.
+
+    One kernel call covers every (pair, predicate) row; the argmin runs
+    per pair over the id-sorted predicates, so ties break by id exactly as
+    in the single-pair function.  Returns (costs, best predicates,
+    directions) arrays aligned with ``v1``/``v2``.
+    """
+    preds = np.array(sorted(predicates), dtype=np.int64)
+    if not len(preds):
+        raise ValueError("empty predicate set")
+    table.require(np.concatenate((v1, v2, preds)))
+    rows, k = len(v1), len(preds)
+    pp = np.repeat(preds[None, :], rows, axis=0).ravel()
+    costs, dirs = kernels.pair_costs(table.vectors, np.repeat(v1, k), np.repeat(v2, k), pp)
+    best = costs.reshape(rows, k).argmin(axis=1)
+    pick = np.arange(0, rows * k, k) + best
+    return costs[pick], preds[best], dirs[pick]

@@ -18,7 +18,7 @@ from .assembler import (
     embedding_cost_source,
     solve_qga,
 )
-from .errors import InfeasibleAssemblyError, UninterpretableQueryError
+from .errors import InfeasibleAssemblyError, QgaError, UninterpretableQueryError
 from .instances import build_random_graph
 from .predictor import predict_missing_relations
 from .sparql import emit_sparql, evaluate_bgp
@@ -104,7 +104,7 @@ def answer_keywords(tokens, kg, lexicon, table, config: PipelineConfig | None = 
             cand.assembled_cost = q.total_cost
             cand.predicted_cost = q.predicted_cost
             cand.normalized_cost = _normalized_cost(q)
-        except Exception as exc:  # noqa: BLE001 - reported per candidate
+        except (QgaError, ValueError) as exc:  # a rejected input, reported per candidate
             cand.infeasible_reason = f"{type(exc).__name__}: {exc}"
 
     viable = [(i, c) for i, c in enumerate(candidates) if c.query_graph is not None]
@@ -140,6 +140,7 @@ class BenchRow:
     states_pushed: int
     states_popped: int
     states_pruned: int
+    bound_evaluations: int
     wall_seconds: float
 
 
@@ -162,19 +163,22 @@ class BenchReport:
         """Rows minus wall clock, for reproducibility comparisons."""
         return [
             (r.instance, r.k, r.n, r.m, r.bound, round(r.cost, 12),
-             r.states_pushed, r.states_popped, r.states_pruned)
+             r.states_pushed, r.states_popped, r.states_pruned, r.bound_evaluations)
             for r in self.rows
         ]
 
     def to_tsv(self) -> str:
-        header = "instance\tk\tn\tm\tbound\tcost\tstates_pushed\tstates_popped\tstates_pruned\twall_seconds"
+        header = (
+            "instance\tk\tn\tm\tbound\tcost\tstates_pushed\tstates_popped\tstates_pruned"
+            "\tbound_evaluations\twall_seconds"
+        )
         lines = [header]
         for r in self.rows:
             cost = "inf" if math.isinf(r.cost) else f"{r.cost:.6f}"
             lines.append(
                 f"{r.instance}\t{r.k}\t{r.n}\t{r.m}\t{r.bound}\t{cost}"
                 f"\t{r.states_pushed}\t{r.states_popped}\t{r.states_pruned}"
-                f"\t{r.wall_seconds:.6f}"
+                f"\t{r.bound_evaluations}\t{r.wall_seconds:.6f}"
             )
         lines.append("")
         for k in self.k_values():
@@ -184,6 +188,19 @@ class BenchReport:
                     f" wall={self.mean_wall(k, bound):.4f}s"
                 )
         return "\n".join(lines) + "\n"
+
+
+def bench_instances(instance_count: int, k_values=(5, 10), n_range=(3, 4), m_range=(2, 3), seed: int = 7):
+    """The random graphs ``bench_lower_bounds`` solves, as (k, index, graph);
+    every set has exactly k candidates."""
+    if instance_count < 1:
+        raise ValueError("instance_count must be positive")
+    for k in k_values:
+        rng = np.random.default_rng(seed + k)
+        for idx in range(instance_count):
+            n = int(rng.integers(n_range[0], n_range[1] + 1))
+            m = int(rng.integers(m_range[0], m_range[1] + 1))
+            yield k, idx, build_random_graph(rng, n, m, k, exact_sizes=True)
 
 
 def bench_lower_bounds(
@@ -198,41 +215,35 @@ def bench_lower_bounds(
     Optimal costs must agree across bounds on every instance; disagreement
     raises immediately since it means an optimality bug.
     """
-    if instance_count < 1:
-        raise ValueError("instance_count must be positive")
     report = BenchReport()
-    for k in k_values:
-        rng = np.random.default_rng(seed + k)
-        for idx in range(instance_count):
-            n = int(rng.integers(n_range[0], n_range[1] + 1))
-            m = int(rng.integers(m_range[0], m_range[1] + 1))
-            graph = build_random_graph(rng, n, m, k, exact_sizes=True)
-            costs = {}
-            for bound in BOUND_NAMES:
-                t0 = time.perf_counter()
-                q, stats = solve_qga(graph, bound=bound)
-                wall = time.perf_counter() - t0
-                cost = q.total_cost if q is not None else math.inf
-                costs[bound] = cost
-                report.rows.append(
-                    BenchRow(
-                        instance=idx,
-                        k=k,
-                        n=n,
-                        m=m,
-                        bound=bound,
-                        cost=cost,
-                        states_pushed=stats.states_pushed,
-                        states_popped=stats.states_popped,
-                        states_pruned=stats.states_pruned,
-                        wall_seconds=wall,
-                    )
+    for k, idx, graph in bench_instances(instance_count, k_values, n_range, m_range, seed):
+        costs = {}
+        for bound in BOUND_NAMES:
+            t0 = time.perf_counter()
+            q, stats = solve_qga(graph, bound=bound)
+            wall = time.perf_counter() - t0
+            cost = q.total_cost if q is not None else math.inf
+            costs[bound] = cost
+            report.rows.append(
+                BenchRow(
+                    instance=idx,
+                    k=k,
+                    n=graph.sets.n,
+                    m=graph.sets.m,
+                    bound=bound,
+                    cost=cost,
+                    states_pushed=stats.states_pushed,
+                    states_popped=stats.states_popped,
+                    states_pruned=stats.states_pruned,
+                    bound_evaluations=stats.bound_evaluations,
+                    wall_seconds=wall,
                 )
-            lo, hi = min(costs.values()), max(costs.values())
-            if math.isinf(lo) != math.isinf(hi) or (
-                math.isfinite(lo) and hi - lo > 1e-9 * max(1.0, abs(lo))
-            ):
-                raise AssertionError(
-                    f"optimal cost disagreement on instance {idx} (k={k}): {costs}"
-                )
+            )
+        lo, hi = min(costs.values()), max(costs.values())
+        if math.isinf(lo) != math.isinf(hi) or (
+            math.isfinite(lo) and hi - lo > 1e-9 * max(1.0, abs(lo))
+        ):
+            raise AssertionError(
+                f"optimal cost disagreement on instance {idx} (k={k}): {costs}"
+            )
     return report

@@ -9,6 +9,10 @@ predicted edges.
 Vertex sets that no assembled edge touched never had their candidate chosen
 by cost; for those, prediction scans the whole candidate set and fixes the
 vertex to the argmin of the first spanning-tree edge that reaches it.
+
+An item without a vector cannot be scored.  Candidate vertices and catalog
+predicates without one are left out of the search; a vertex pinned by
+assembly must have one (``UnknownItemError`` otherwise).
 """
 
 from __future__ import annotations
@@ -66,24 +70,29 @@ class PredictionGraph:
         return len(self.components)
 
 
-def _candidate_vertices(q: QueryGraph, set_idx: int) -> list[int]:
+def _candidate_vertices(q: QueryGraph, set_idx: int, table) -> list[int]:
     """Vertices prediction may use for one set: the chosen vertex when an
-    assembled edge pinned it, the whole candidate set otherwise."""
+    assembled edge pinned it, otherwise the candidates that have a vector."""
     chosen = q.vertices[set_idx]
     constrained = any(set_idx in (e.set1, e.set2) for e in q.edges)
     if constrained or q.sets is None:
-        return [] if chosen == FREE_VAR else [chosen]
-    return [v for v in q.sets.vertex_sets[set_idx] if v != FREE_VAR]
+        if chosen == FREE_VAR:
+            return []
+        table.require(chosen)
+        return [chosen]
+    has, size = table.has, len(table.has)
+    # the range test also drops FREE_VAR, which is negative
+    return [v for v in q.sets.vertex_sets[set_idx] if 0 <= v < size and has[v]]
 
 
-def _component_vertices(q: QueryGraph, comp: list[int]) -> list[tuple[int, int]]:
+def _component_vertices(q: QueryGraph, comp: list[int], table) -> list[tuple[int, int]]:
     """(item id, set index) pairs usable as prediction endpoints, sorted by
     item id for deterministic tie breaks.  Free variables are skipped."""
     pairs = sorted(
-        (v, i) for i in comp for v in _candidate_vertices(q, i)
+        (v, i) for i in comp for v in _candidate_vertices(q, i, table)
     )
     if not pairs:
-        raise ValueError("component has no concrete vertices to predict from")
+        raise ValueError("component has no concrete vertex with a vector to predict from")
     return pairs
 
 
@@ -113,6 +122,15 @@ def _best_bridge(table, predicates: np.ndarray, left, right):
     )
 
 
+def _vectored_predicates(table, predicates) -> np.ndarray:
+    """The catalog predicates that have a vector, sorted by id."""
+    preds = np.array(sorted(predicates), dtype=np.int64)
+    preds = preds[table.has_vector(preds)]
+    if len(preds) == 0:
+        raise ValueError("no predicate in the catalog has a vector")
+    return preds
+
+
 def build_prediction_graph(components, table, predicates, q: QueryGraph) -> PredictionGraph:
     """Weight every component pair with its cheapest cross-boundary triple.
 
@@ -120,17 +138,15 @@ def build_prediction_graph(components, table, predicates, q: QueryGraph) -> Pred
     """
     if len(components) < 2:
         raise ValueError("prediction needs at least two components")
-    preds = np.array(sorted(predicates), dtype=np.int64)
-    if len(preds) == 0:
-        raise ValueError("empty predicate catalog")
+    preds = _vectored_predicates(table, predicates)
     edges: list[PredictionEdge] = []
     for ci in range(len(components)):
         for cj in range(ci + 1, len(components)):
             w, s1, v1, s2, v2, p, direction = _best_bridge(
                 table,
                 preds,
-                _component_vertices(q, components[ci]),
-                _component_vertices(q, components[cj]),
+                _component_vertices(q, components[ci], table),
+                _component_vertices(q, components[cj], table),
             )
             edges.append(
                 PredictionEdge(
@@ -181,23 +197,20 @@ def mst_connect(p: PredictionGraph, q: QueryGraph, table=None, predicates=None) 
         fixed[e.set1] = e.vertex1
         fixed[e.set2] = e.vertex2
 
-    preds = None
-    if predicates is not None:
-        preds = np.array(sorted(predicates), dtype=np.int64)
-
     def realize(e: PredictionEdge) -> PredictionEdge:
         clash = (e.set1 in fixed and fixed[e.set1] != e.vertex1) or (
             e.set2 in fixed and fixed[e.set2] != e.vertex2
         )
         if not clash:
             return e
-        if table is None or preds is None:
+        if table is None or predicates is None:
             raise ValueError("cannot re-resolve a bridged prediction without the cost table")
+        preds = _vectored_predicates(table, predicates)
         left = [(fixed[e.set1], e.set1)] if e.set1 in fixed else [
-            (v, e.set1) for v in sorted(_candidate_vertices(q, e.set1))
+            (v, e.set1) for v in sorted(_candidate_vertices(q, e.set1, table))
         ]
         right = [(fixed[e.set2], e.set2)] if e.set2 in fixed else [
-            (v, e.set2) for v in sorted(_candidate_vertices(q, e.set2))
+            (v, e.set2) for v in sorted(_candidate_vertices(q, e.set2, table))
         ]
         w, s1, v1, s2, v2, pp, direction = _best_bridge(table, preds, left, right)
         return PredictionEdge(e.comp1, e.comp2, w, s1, v1, s2, v2, pp, direction)

@@ -12,6 +12,7 @@ from qga.assembler import (
     brute_force_oracle,
     build_candidate_sets,
     build_condensed_graph,
+    compatible_with,
     conflicts,
     greedy_lb,
     hungarian_min_assignment,
@@ -53,7 +54,7 @@ def make_state(graph, matched=()):
     cost = 0.0
     for e in matched:
         keep = z[z > e]
-        z = keep[~graph.conflict[e, keep]]
+        z = keep[compatible_with(graph, e, keep)]
         cost += float(graph.weights[e])
     return SearchState(graph=graph, matched=tuple(matched), compatible=z, cost=cost)
 
@@ -194,12 +195,13 @@ def test_conflict_same_left_different_right():
     assert conflicts(e, f)
 
 
-def test_conflict_matrix_matches_pairwise_function():
-    g = uniform_graph(4, 3, 2, 2)
-    for e in g.edges:
-        for f in g.edges:
-            expect = conflicts(e, f) if e.index != f.index else False
-            assert bool(g.conflict[e.index, f.index]) == expect
+def test_compatible_with_matches_pairwise_function():
+    for seed, (n, m, k) in enumerate([(3, 2, 2), (4, 3, 2), (2, 2, 3), (4, 1, 3)], start=4):
+        g = uniform_graph(seed, n, m, k)
+        everything = np.arange(len(g.edges), dtype=np.int64)
+        for e in g.edges:
+            mask = compatible_with(g, e.index, everything)
+            assert mask.tolist() == [not conflicts(e, f) for f in g.edges]
 
 
 # -- lower bounds ----------------------------------------------------------------

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qga.assembler import BOUND_NAMES, solve_qga
 from qga.embedding import EmbeddingTable
 from qga.errors import InfeasibleAssemblyError, UninterpretableQueryError
 from qga.lexicon import build_lexicon
-from qga.pipeline import PipelineConfig, answer_keywords, bench_lower_bounds
+from qga.pipeline import PipelineConfig, answer_keywords, bench_instances, bench_lower_bounds
 from qga.store import load_triples
 
 from conftest import MINI, gold_answers
@@ -157,11 +158,22 @@ def test_bench_cross_bound_agreement_and_trend():
 
     for k in (3, 5):
         assert report.mean_popped(k, "naive") >= report.mean_popped(k, "greedy")
-    # search effort grows with k under every bound
-    for bound in ("naive", "km", "greedy"):
-        pushed_small = [r.states_pushed for r in report.rows if r.k == 3 and r.bound == bound]
-        pushed_large = [r.states_pushed for r in report.rows if r.k == 5 and r.bound == bound]
-        assert sum(pushed_large) / len(pushed_large) > sum(pushed_small) / len(pushed_small)
+    # lazy sibling generation bounds no more children than eager expansion,
+    # which bounds every compatible edge of each popped state with >= 2
+    # unmatched relations, would have; and fewer over the whole run
+    evaluations = {(r.k, r.instance, r.bound): r.bound_evaluations for r in report.rows}
+    lazy_total = eager_total = 0
+    for k, idx, graph in bench_instances(30, k_values=(3, 5), seed=11):
+        m = graph.num_edge_sets
+        for bound in BOUND_NAMES:
+            popped = []
+            solve_qga(graph, bound=bound, state_hook=popped.append)
+            eager = sum(len(s.compatible) for s in popped if m - len(s.matched) >= 2)
+            lazy = evaluations[(k, idx, bound)]
+            assert lazy <= eager
+            lazy_total += lazy
+            eager_total += eager
+    assert lazy_total < eager_total
 
 
 def test_bench_tsv_shape():
@@ -170,3 +182,19 @@ def test_bench_tsv_shape():
     lines = text.splitlines()
     assert lines[0].startswith("instance\tk\t")
     assert len([l for l in lines if l and not l.startswith(("instance", "#"))]) == 6
+
+
+def test_programming_error_in_cost_source_propagates(monkeypatch, mini_kg, mini_lexicon, mini_table):
+    """Only rejected inputs (QgaError, ValueError) mark a candidate
+    infeasible; a bug in the build must surface, not become exit 3."""
+
+    def broken_cost_source(table):
+        def source(set1, v1, set2, v2, j, predicates):
+            raise TypeError("cost source bug")
+
+        return source
+
+    monkeypatch.setattr("qga.pipeline.embedding_cost_source", broken_cost_source)
+    tokens = "scientist graduate from university locate USA".split()
+    with pytest.raises(TypeError, match="cost source bug"):
+        answer_keywords(tokens, mini_kg, mini_lexicon, mini_table)

@@ -251,3 +251,34 @@ def test_omitted_relation_picks_pinned_location_predicate(mini_kg):
     assert e.predicate == loc
     assert {e.vertex1, e.vertex2} == {uni, usa}
     assert e.weight == pytest.approx(0.0, abs=1e-12)
+
+
+def test_predicate_without_vector_never_predicted():
+    """A catalog predicate with no vector reads as a zero vector in the
+    table; it must not be scored, let alone win at cost |a - b| = 0.1."""
+    # items: 0 = a, 1 = b, 2 = p (far but real), 3 = q (no vector)
+    table = table_from([[0, 0], [0.1, 0], [5, 0], [0, 0]])
+    table.has[3] = False
+    q = graph([0, 1], [])
+    out = predict_missing_relations(q, table, [2, 3])
+    assert [e.predicate for e in out.predicted_edges] == [2]
+    assert out.predicted_edges[0].weight == pytest.approx(4.9)
+
+
+def test_unpinned_candidate_without_vector_skipped():
+    from qga.assembler import CandidateSets
+
+    # items: 0 anchor, 1 candidate with no vector (zero row: would cost 0), 2 candidate, 3 predicate
+    table = table_from([[0, 0], [0, 0], [2, 0], [1, 0]])
+    table.has[1] = False
+    sets = CandidateSets([(0,), (1, 2)], [], [None, None], [])
+    q = QueryGraph(vertices=[0, 1], edges=[], total_cost=0.0, sets=sets)
+    out = predict_missing_relations(q, table, [3])
+    assert out.vertices == [0, 2]
+
+
+def test_only_unvectored_predicates_is_an_input_error():
+    table = table_from([[0, 0], [1, 0], [1, 0]])
+    table.has[2] = False
+    with pytest.raises(ValueError, match="no predicate"):
+        predict_missing_relations(graph([0, 1], []), table, [2])
