@@ -8,7 +8,10 @@ after every epoch; predicate vectors are normalized once at initialization.
 
 The assembly cost of wiring vertices v1, v2 with predicate p is the smaller
 of the two directed L2 residuals |v1 + p - v2| and |v2 + p - v1|, together
-with the direction that attained it.
+with the direction that attained it.  Every cost function here hands its
+vertex pairs and its predicates to ``kernels.pair_costs``, which scores the
+whole pairs x predicates grid; a condensed edge weight is the min of one
+grid row.
 """
 
 from __future__ import annotations
@@ -251,13 +254,8 @@ def triple_assembly_cost(table: EmbeddingTable, v1: int, v2: int, p: int):
     compares the same two residuals, so the cost is exactly symmetric.
     """
     table.require(v1, v2, p)
-    costs, dirs = kernels.pair_costs(
-        table.vectors,
-        np.array([v1], dtype=np.int64),
-        np.array([v2], dtype=np.int64),
-        np.array([p], dtype=np.int64),
-    )
-    return float(costs[0]), int(dirs[0])
+    costs, dirs = kernels.pair_costs(table.vectors, [v1], [v2], [p])
+    return float(costs[0, 0]), int(dirs[0, 0])
 
 
 def condensed_edge_weight(table: EmbeddingTable, v1: int, v2: int, predicates):
@@ -269,32 +267,24 @@ def condensed_edge_weight(table: EmbeddingTable, v1: int, v2: int, predicates):
     if not preds:
         raise ValueError("empty predicate set")
     table.require(v1, v2, *preds)
-    n = len(preds)
-    costs, dirs = kernels.pair_costs(
-        table.vectors,
-        np.full(n, v1, dtype=np.int64),
-        np.full(n, v2, dtype=np.int64),
-        np.array(preds, dtype=np.int64),
-    )
-    best = int(np.argmin(costs))
-    return float(costs[best]), preds[best], int(dirs[best])
+    costs, dirs = kernels.pair_costs(table.vectors, [v1], [v2], preds)
+    best = int(np.argmin(costs[0]))
+    return float(costs[0, best]), preds[best], int(dirs[0, best])
 
 
 def condensed_edge_weights(table: EmbeddingTable, v1, v2, predicates):
     """``condensed_edge_weight`` for many vertex pairs at once.
 
-    One kernel call covers every (pair, predicate) row; the argmin runs
-    per pair over the id-sorted predicates, so ties break by id exactly as
-    in the single-pair function.  Returns (costs, best predicates,
-    directions) arrays aligned with ``v1``/``v2``.
+    One kernel call covers the pairs x predicates grid; the argmin runs per
+    pair over the id-sorted predicates, so ties break by id exactly as in
+    the single-pair function.  Returns (costs, best predicates, directions)
+    arrays aligned with ``v1``/``v2``.
     """
     preds = np.array(sorted(predicates), dtype=np.int64)
     if not len(preds):
         raise ValueError("empty predicate set")
     table.require(np.concatenate((v1, v2, preds)))
-    rows, k = len(v1), len(preds)
-    pp = np.repeat(preds[None, :], rows, axis=0).ravel()
-    costs, dirs = kernels.pair_costs(table.vectors, np.repeat(v1, k), np.repeat(v2, k), pp)
-    best = costs.reshape(rows, k).argmin(axis=1)
-    pick = np.arange(0, rows * k, k) + best
-    return costs[pick], preds[best], dirs[pick]
+    costs, dirs = kernels.pair_costs(table.vectors, v1, v2, preds)
+    best = costs.argmin(axis=1)
+    pairs = np.arange(len(best))
+    return costs[pairs, best], preds[best], dirs[pairs, best]

@@ -1,42 +1,29 @@
-"""Numeric hot kernels with optional numba acceleration.
+"""Numeric hot kernels.
 
 Two kernels carry essentially all the floating-point work:
 
 * ``sgd_epoch`` — one margin-ranking SGD epoch over pre-sampled
-  positive/negative triple pairs (sequential, order-dependent).
-* ``pair_costs`` — batched two-direction translation residuals
-  ``min(|v1 + p - v2|, |v2 + p - v1|)`` for many (v1, v2, p) rows.
-
-By default both are compiled with ``numba.njit``.  Setting the environment
-variable ``QGA_PURE_NUMPY=1`` (or any value other than ``0``) selects the
-fallback path: the interpreted loop for ``sgd_epoch`` (same float ops in the
-same order, so results stay bitwise identical) and a vectorized numpy
-implementation for ``pair_costs``.  ``benchmarks/bench_kernels.py`` compares
-the two paths.
+  positive/negative triple pairs (sequential, order-dependent).  It is
+  compiled with ``numba.njit`` when numba imports (the optional ``fast``
+  extra); otherwise the same loop runs interpreted, with the same float ops
+  in the same order, so results are bitwise identical.
+* ``pair_costs`` — two-direction translation residuals
+  ``min(|v1 + p - v2|, |v2 + p - v1|)`` over a grid of R vertex pairs by
+  P predicates.  It is plain numpy on every host.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_ENV_FLAG = "QGA_PURE_NUMPY"
+try:
+    from numba import njit
 
-
-def _pure_numpy_requested() -> bool:
-    return os.environ.get(_ENV_FLAG, "0").strip() not in ("", "0")
-
-
-NUMBA_ENABLED = False
-if not _pure_numpy_requested():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
+    NUMBA_ENABLED = True
+except ImportError:
+    NUMBA_ENABLED = False
 
 
 def _sgd_epoch_impl(vec, pos, neg, lr, margin):
@@ -81,62 +68,27 @@ def _sgd_epoch_impl(vec, pos, neg, lr, margin):
     return total / n if n else 0.0
 
 
-def _pair_costs_impl(vec, v1, v2, p, costs, dirs):
-    """Row-wise min over the two translation directions.
+sgd_epoch = njit(cache=True)(_sgd_epoch_impl) if NUMBA_ENABLED else _sgd_epoch_impl
 
-    dirs[t] = 0 when |v1 + p - v2| <= |v2 + p - v1| (triple read v1 -> v2),
-    1 otherwise.
+
+def _norms(r):
+    """L2 norm of every length-d row of an (R, P, d) residual block."""
+    return np.sqrt(np.einsum("ijk,ijk->ij", r, r))
+
+
+def pair_costs(vec: np.ndarray, v1, v2, preds):
+    """Triple assembly costs of every vertex pair with every predicate.
+
+    v1/v2 hold R vertex ids, preds P predicate ids.  Returns (costs, dirs),
+    both (R, P): dirs[r, k] = 0 when |v1 + p - v2| <= |v2 + p - v1| (the
+    triple reads v1 -> v2), 1 otherwise.  Each cell is computed with the
+    same float ops whatever R and P are, so a grid row equals its pair
+    computed alone.
     """
-    n = v1.shape[0]
-    d = vec.shape[1]
-    for t in range(n):
-        a = v1[t]
-        b = v2[t]
-        q = p[t]
-        sq_f = 0.0
-        sq_r = 0.0
-        for i in range(d):
-            rf = vec[a, i] + vec[q, i] - vec[b, i]
-            rr = vec[b, i] + vec[q, i] - vec[a, i]
-            sq_f += rf * rf
-            sq_r += rr * rr
-        cf = math.sqrt(sq_f)
-        cr = math.sqrt(sq_r)
-        if cr < cf:
-            costs[t] = cr
-            dirs[t] = 1
-        else:
-            costs[t] = cf
-            dirs[t] = 0
-
-
-def _pair_costs_numpy(vec, v1, v2, p, costs, dirs):
-    a = vec[v1]
-    b = vec[v2]
-    q = vec[p]
-    rf = a + q - b
-    rr = b + q - a
-    cf = np.sqrt(np.einsum("ij,ij->i", rf, rf))
-    cr = np.sqrt(np.einsum("ij,ij->i", rr, rr))
+    a = vec[np.asarray(v1, dtype=np.int64)][:, None, :]
+    b = vec[np.asarray(v2, dtype=np.int64)][:, None, :]
+    q = vec[np.asarray(preds, dtype=np.int64)][None, :, :]
+    cf = _norms(a + q - b)
+    cr = _norms(b + q - a)
     rev = cr < cf
-    np.copyto(costs, np.where(rev, cr, cf))
-    np.copyto(dirs, rev.astype(np.int8))
-
-
-if NUMBA_ENABLED:
-    sgd_epoch = njit(cache=True)(_sgd_epoch_impl)
-    _pair_costs_active = njit(cache=True)(_pair_costs_impl)
-else:
-    sgd_epoch = _sgd_epoch_impl
-    _pair_costs_active = _pair_costs_numpy
-
-
-def pair_costs(vec: np.ndarray, v1, v2, p):
-    """Batched triple assembly costs; returns (costs, dirs) arrays."""
-    v1 = np.ascontiguousarray(v1, dtype=np.int64)
-    v2 = np.ascontiguousarray(v2, dtype=np.int64)
-    p = np.ascontiguousarray(p, dtype=np.int64)
-    costs = np.empty(v1.shape[0], dtype=np.float64)
-    dirs = np.empty(v1.shape[0], dtype=np.int8)
-    _pair_costs_active(vec, v1, v2, p, costs, dirs)
-    return costs, dirs
+    return np.where(rev, cr, cf), rev.astype(np.int8)

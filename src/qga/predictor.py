@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .assembler import FREE_VAR, AssembledEdge, QueryGraph
+from .embedding import condensed_edge_weights
 
 
 def connected_components(q: QueryGraph) -> list[list[int]]:
@@ -99,27 +99,18 @@ def _component_vertices(q: QueryGraph, comp: list[int], table) -> list[tuple[int
 def _best_bridge(table, predicates: np.ndarray, left, right):
     """Cheapest (v_i, v_j, p) over left x right x predicates.
 
-    left/right are (item, set) pair lists sorted by item id; the flattened
-    enumeration is lexicographic in (v_i, v_j, p), so taking the first
-    minimum realizes the (vertex id, vertex id, predicate id) tie break.
+    left/right are (item, set) pair lists sorted by item id, so the pairs
+    run in (v_i, v_j) order and each pair's best predicate is the first
+    minimum by id; taking the first minimum over the pairs realizes the
+    (vertex id, vertex id, predicate id) tie break.
     """
-    np_ = len(predicates)
-    v1 = np.repeat([v for v, _ in left], len(right) * np_)
-    s1 = np.repeat([s for _, s in left], len(right) * np_)
-    v2 = np.tile(np.repeat([v for v, _ in right], np_), len(left))
-    s2 = np.tile(np.repeat([s for _, s in right], np_), len(left))
-    pp = np.tile(predicates, len(left) * len(right))
-    costs, dirs = kernels.pair_costs(table.vectors, v1, v2, pp)
-    best = int(np.argmin(costs))
-    return (
-        float(costs[best]),
-        int(s1[best]),
-        int(v1[best]),
-        int(s2[best]),
-        int(v2[best]),
-        int(pp[best]),
-        int(dirs[best]),
-    )
+    pairs = [(a, b) for a in left for b in right]
+    v1 = np.array([a[0] for a, _ in pairs], dtype=np.int64)
+    v2 = np.array([b[0] for _, b in pairs], dtype=np.int64)
+    costs, best_p, dirs = condensed_edge_weights(table, v1, v2, predicates)
+    k = int(np.argmin(costs))
+    (vi, si), (vj, sj) = pairs[k]
+    return float(costs[k]), int(si), int(vi), int(sj), int(vj), int(best_p[k]), int(dirs[k])
 
 
 def _vectored_predicates(table, predicates) -> np.ndarray:

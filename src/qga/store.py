@@ -215,10 +215,3 @@ def load_triples(path, type_predicate: str = DEFAULT_TYPE_PREDICATE) -> Knowledg
         type_edges=type_edges,
     )
 
-
-def has_triple(kg: KnowledgeGraph, s: int, p: int, o: int) -> bool:
-    return kg.has_triple(s, p, o)
-
-
-def match_pattern(kg: KnowledgeGraph, s=WILDCARD, p=WILDCARD, o=WILDCARD):
-    return kg.match_pattern(s, p, o)

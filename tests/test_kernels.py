@@ -1,32 +1,43 @@
-"""Cross-path agreement between the jitted kernels and their fallbacks."""
+"""The pair-cost grid against per-element references, and the jitted SGD
+epoch against its interpreted loop."""
 
 import numpy as np
+import pytest
 
 from qga import kernels
 
 
-def random_inputs(seed, items=40, dim=12, rows=300):
+def random_inputs(seed, items=40, dim=12, pairs=30, preds=7):
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=(items, dim))
-    v1 = rng.integers(0, items, size=rows).astype(np.int64)
-    v2 = rng.integers(0, items, size=rows).astype(np.int64)
-    p = rng.integers(0, items, size=rows).astype(np.int64)
+    v1 = rng.integers(0, items, size=pairs).astype(np.int64)
+    v2 = rng.integers(0, items, size=pairs).astype(np.int64)
+    p = rng.integers(0, items, size=preds).astype(np.int64)
     return vec, v1, v2, p
 
 
-def test_pair_costs_paths_agree():
+def test_pair_costs_grid_matches_per_element_norms():
     vec, v1, v2, p = random_inputs(3)
-    c_loop = np.empty(len(v1))
-    d_loop = np.empty(len(v1), dtype=np.int8)
-    kernels._pair_costs_impl(vec, v1, v2, p, c_loop, d_loop)
-    c_np = np.empty(len(v1))
-    d_np = np.empty(len(v1), dtype=np.int8)
-    kernels._pair_costs_numpy(vec, v1, v2, p, c_np, d_np)
-    np.testing.assert_allclose(c_loop, c_np, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(d_loop, d_np)
-    c_active, d_active = kernels.pair_costs(vec, v1, v2, p)
-    np.testing.assert_allclose(c_active, c_loop, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(d_active, d_loop)
+    costs, dirs = kernels.pair_costs(vec, v1, v2, p)
+    assert costs.shape == dirs.shape == (len(v1), len(p))
+    for r in range(len(v1)):
+        for k in range(len(p)):
+            cf = np.linalg.norm(vec[v1[r]] + vec[p[k]] - vec[v2[r]])
+            cr = np.linalg.norm(vec[v2[r]] + vec[p[k]] - vec[v1[r]])
+            np.testing.assert_allclose(costs[r, k], min(cf, cr), rtol=1e-12, atol=0)
+            assert dirs[r, k] == (1 if cr < cf else 0)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 12, 100])
+def test_pair_costs_grid_rows_equal_pairs_computed_alone(dim):
+    # the batched condensed-graph build is bitwise equal to the per-cell
+    # build only because a grid row does not depend on the other rows
+    vec, v1, v2, p = random_inputs(dim, dim=dim)
+    costs, dirs = kernels.pair_costs(vec, v1, v2, p)
+    for r in range(len(v1)):
+        alone_c, alone_d = kernels.pair_costs(vec, v1[r : r + 1], v2[r : r + 1], p)
+        assert np.array_equal(costs[r], alone_c[0])
+        assert np.array_equal(dirs[r], alone_d[0])
 
 
 def test_sgd_epoch_active_matches_interpreted_bitwise():
@@ -65,8 +76,8 @@ def test_pair_costs_direction_flag():
     costs, dirs = kernels.pair_costs(
         vec, np.array([0]), np.array([1]), np.array([2])
     )
-    assert costs[0] == 0.0 and dirs[0] == 0
+    assert costs[0, 0] == 0.0 and dirs[0, 0] == 0
     costs, dirs = kernels.pair_costs(
         vec, np.array([1]), np.array([0]), np.array([2])
     )
-    assert costs[0] == 0.0 and dirs[0] == 1
+    assert costs[0, 0] == 0.0 and dirs[0, 0] == 1

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qga.assembler import FREE_VAR, AssembledEdge, QueryGraph
+from qga.assembler import FREE_VAR, AssembledEdge, CandidateSets, QueryGraph
 from qga.embedding import DIR_FORWARD, EmbeddingTable, triple_assembly_cost
 from qga.predictor import (
     build_prediction_graph,
@@ -99,6 +101,53 @@ def test_prediction_weight_matches_exhaustive_scan():
     )
     assert e.weight == pytest.approx(best[0], rel=1e-12)
     assert (e.vertex1, e.vertex2, e.predicate) == best[1:]
+
+
+@st.composite
+def tied_prediction_inputs(draw):
+    """Unpinned candidate sets over 8 vertices, some predicates among 4, and
+    coarse integer vectors, so many bridge costs tie exactly; sets 0 and 1
+    may be pinned together by an assembled edge."""
+    dim = draw(st.integers(1, 3))
+    coords = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    table = table_from(draw(st.lists(coords, min_size=12, max_size=12)))
+    n = draw(st.integers(2, 4))
+    vertex_sets = [
+        tuple(draw(st.lists(st.sampled_from(range(8)), min_size=1, max_size=3, unique=True))) for _ in range(n)
+    ]
+    vertices = [s[0] for s in vertex_sets]
+    edges = [edge(0, 1, v1=vertices[0], v2=vertices[1])] if n > 2 and draw(st.booleans()) else []
+    preds = draw(st.lists(st.sampled_from(range(8, 12)), min_size=1, max_size=4, unique=True))
+    q = QueryGraph(
+        vertices=vertices, edges=edges, total_cost=0.0, sets=CandidateSets(vertex_sets, [], [None] * n, [])
+    )
+    return table, q, preds
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tied_prediction_inputs())
+def test_prediction_tie_break_matches_exhaustive_scan(inputs):
+    """Every prediction edge is the first of the exhaustive
+    (cost, v_i, set_i, v_j, set_j, p) scan: exact weight, endpoints, sets
+    and predicate, ties included."""
+    table, q, preds = inputs
+    pinned = {i for e in q.edges for i in (e.set1, e.set2)}
+
+    def endpoints(comp):
+        return [(v, i) for i in comp for v in ((q.vertices[i],) if i in pinned else q.sets.vertex_sets[i])]
+
+    comps = connected_components(q)
+    pg = build_prediction_graph(comps, table, preds, q)
+    assert len(pg.edges) == len(comps) * (len(comps) - 1) // 2
+    for e in pg.edges:
+        best = min(
+            (triple_assembly_cost(table, vi, vj, p)[0], vi, si, vj, sj, p)
+            for vi, si in endpoints(comps[e.comp1])
+            for vj, sj in endpoints(comps[e.comp2])
+            for p in preds
+        )
+        assert (e.weight, e.vertex1, e.set1, e.vertex2, e.set2, e.predicate) == best
+        assert e.direction == triple_assembly_cost(table, e.vertex1, e.vertex2, e.predicate)[1]
 
 
 def test_free_variable_vertices_skipped():
