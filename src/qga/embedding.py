@@ -16,6 +16,7 @@ grid row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,7 +240,14 @@ def load_table(path, kg: KnowledgeGraph) -> EmbeddingTable:
                 raise VectorFormatError(
                     f"{path}:{line_no}: expected {dim} floats, got {len(values)}"
                 )
-            vectors[item] = [float(v) for v in values]
+            try:
+                row_values = [float(v) for v in values]
+            except ValueError as exc:
+                raise VectorFormatError(f"{path}:{line_no}: {exc}")
+            # nan or inf would poison every cost the item takes part in
+            if not all(map(math.isfinite, row_values)):
+                raise VectorFormatError(f"{path}:{line_no}: nan or inf in vector")
+            vectors[item] = row_values
             has[item] = True
     return EmbeddingTable(dim=dim, vectors=vectors, has=has, items=list(kg.items))
 

@@ -9,7 +9,11 @@ Two kernels carry essentially all the floating-point work:
   in the same order, so results are bitwise identical.
 * ``pair_costs`` — two-direction translation residuals
   ``min(|v1 + p - v2|, |v2 + p - v1|)`` over a grid of R vertex pairs by
-  P predicates.  It is plain numpy on every host.
+  P predicates.  It is plain numpy on every host.  The grid is evaluated
+  in blocks of about ``PAIR_COST_CELLS`` (pair, predicate) cells through
+  one residual buffer, so working memory is O(block * d), not O(R * P * d).
+  Each cell goes through the same float ops whatever R, P and the block
+  size are, so its result does not depend on them.
 """
 
 from __future__ import annotations
@@ -71,9 +75,10 @@ def _sgd_epoch_impl(vec, pos, neg, lr, margin):
 sgd_epoch = njit(cache=True)(_sgd_epoch_impl) if NUMBA_ENABLED else _sgd_epoch_impl
 
 
-def _norms(r):
-    """L2 norm of every length-d row of an (R, P, d) residual block."""
-    return np.sqrt(np.einsum("ijk,ijk->ij", r, r))
+# (pair, predicate) cells per block: the residual buffer holds
+# PAIR_COST_CELLS * d float64s, small enough to stay in cache, while a
+# block is still large enough that the per-block numpy calls are cheap.
+PAIR_COST_CELLS = 2048
 
 
 def pair_costs(vec: np.ndarray, v1, v2, preds):
@@ -81,14 +86,37 @@ def pair_costs(vec: np.ndarray, v1, v2, preds):
 
     v1/v2 hold R vertex ids, preds P predicate ids.  Returns (costs, dirs),
     both (R, P): dirs[r, k] = 0 when |v1 + p - v2| <= |v2 + p - v1| (the
-    triple reads v1 -> v2), 1 otherwise.  Each cell is computed with the
-    same float ops whatever R and P are, so a grid row equals its pair
-    computed alone.
+    triple reads v1 -> v2), 1 otherwise.
+
+    The pairs are taken ``max(1, PAIR_COST_CELLS // P)`` at a time, and
+    every block reuses one (block, P, d) residual buffer, so working memory
+    is O(block * d) beside the (R, P) outputs.  Each cell is computed as
+    ``sqrt(sum(((a + q) - b) ** 2))`` with the same float ops whatever R, P
+    and the block size are, so a grid row equals its pair computed alone.
     """
     a = vec[np.asarray(v1, dtype=np.int64)][:, None, :]
     b = vec[np.asarray(v2, dtype=np.int64)][:, None, :]
     q = vec[np.asarray(preds, dtype=np.int64)][None, :, :]
-    cf = _norms(a + q - b)
-    cr = _norms(b + q - a)
-    rev = cr < cf
-    return np.where(rev, cr, cf), rev.astype(np.int8)
+    n, k, d = len(a), q.shape[1], vec.shape[1]
+    costs = np.empty((n, k))
+    dirs = np.empty((n, k), dtype=np.int8)
+    # the comparison writes its 0/1 bytes straight into dirs
+    reverse = dirs.view(np.bool_)
+    step = max(1, PAIR_COST_CELLS // max(k, 1))
+    res = np.empty((min(step, n), k, d))
+    back = np.empty((min(step, n), k))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        ab, bb, r = a[lo:hi], b[lo:hi], res[: hi - lo]
+        cf, cr, rev = costs[lo:hi], back[: hi - lo], reverse[lo:hi]
+        np.add(ab, q, out=r)
+        np.subtract(r, bb, out=r)
+        np.einsum("ijk,ijk->ij", r, r, out=cf)
+        np.sqrt(cf, out=cf)
+        np.add(bb, q, out=r)
+        np.subtract(r, ab, out=r)
+        np.einsum("ijk,ijk->ij", r, r, out=cr)
+        np.sqrt(cr, out=cr)
+        np.less(cr, cf, out=rev)
+        np.copyto(cf, cr, where=rev)
+    return costs, dirs

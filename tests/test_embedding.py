@@ -114,6 +114,18 @@ def test_load_unknown_iri(tmp_path, toy_kg):
     assert "no:such_thing" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999", "x"])
+def test_load_rejects_non_finite_or_unparsable_floats(tmp_path, toy_kg, bad):
+    # a nan row used to load silently and make every cost it touched nan,
+    # which surfaced as an infeasible assembly instead of a format error
+    path = tmp_path / "vec.tsv"
+    iri = toy_kg.iri_of(0)
+    path.write_text(f"dim=2\n{iri}\t0.5 0.25\n{iri}\t0.5 {bad}\n")
+    with pytest.raises(VectorFormatError) as err:
+        load_table(path, toy_kg)
+    assert f"{path}:3:" in str(err.value)
+
+
 def test_load_missing_header(tmp_path, toy_kg):
     path = tmp_path / "vec.tsv"
     path.write_text("0.5 0.25\n")
