@@ -39,14 +39,11 @@ class CandidateSets:
     """Candidate vertex sets and predicate edge sets, in term order.
 
     Items inside a set are unique and ordered best-first (as produced by
-    Phase-I).  ``vertex_terms``/``edge_terms`` carry the originating terms
-    for diagnostics; synthetic free-variable sets have ``None`` provenance.
+    Phase-I); a synthetic free-variable set is ``(FREE_VAR,)``.
     """
 
     vertex_sets: list[tuple[int, ...]]
     edge_sets: list[tuple[int, ...]]
-    vertex_terms: list = field(default_factory=list)
-    edge_terms: list = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -68,21 +65,16 @@ def build_candidate_sets(aq) -> CandidateSets:
         raise ValueError("annotated query has no terms")
     vertex_sets: list[tuple[int, ...]] = []
     edge_sets: list[tuple[int, ...]] = []
-    vertex_terms: list = []
-    edge_terms: list = []
     for term in aq.terms:
         items = tuple(item for item, _ in term.candidates)
         if term.character == "relation":
             edge_sets.append(items)
-            edge_terms.append(term)
         else:
             vertex_sets.append(items)
-            vertex_terms.append(term)
     if edge_sets:
         while len(vertex_sets) < 2:
             vertex_sets.append((FREE_VAR,))
-            vertex_terms.append(None)
-    return CandidateSets(vertex_sets, edge_sets, vertex_terms, edge_terms)
+    return CandidateSets(vertex_sets, edge_sets)
 
 
 @dataclass(frozen=True)
@@ -687,12 +679,7 @@ def reduce_3sat(num_vars: int, clauses) -> CondensedBipartiteGraph:
     vertex_sets = [(2 * i, 2 * i + 1) for i in range(num_vars)]
     vertex_sets += [(clause_vertex[j],) for j in range(q)]
     edge_sets = [(predicate_id[j],) for j in range(q)]
-    sets = CandidateSets(
-        vertex_sets,
-        edge_sets,
-        vertex_terms=[None] * (num_vars + q),
-        edge_terms=[None] * q,
-    )
+    sets = CandidateSets(vertex_sets, edge_sets)
 
     zero_pairs = {
         (min(lit_vertex(lit), clause_vertex[j]), max(lit_vertex(lit), clause_vertex[j]), j)

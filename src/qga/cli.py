@@ -13,7 +13,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .assembler import BOUND_NAMES, brute_force_oracle, reduce_3sat, solve_qga
+from .assembler import (
+    BOUND_NAMES,
+    brute_force_oracle,
+    build_condensed_graph,
+    reduce_3sat,
+    solve_qga,
+    table_cost_source,
+)
 from .embedding import TrainConfig, load_table, save_table, train_transe
 from .errors import InfeasibleAssemblyError, QgaError, UninterpretableQueryError
 from .instances import build_random_graph, load_instance
@@ -113,8 +120,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .assembler import build_condensed_graph, table_cost_source
-
     sets, weights = load_instance(args.instance)
     graph = build_condensed_graph(sets, table_cost_source(weights))
     q, stats = solve_qga(graph, bound=args.bound)

@@ -28,6 +28,8 @@ from .store import KIND_PREDICATE, KnowledgeGraph
 DIR_FORWARD = 0  # triple reads (v1, p, v2)
 DIR_REVERSE = 1  # triple reads (v2, p, v1)
 
+NEGATIVE_TRIES = 100  # draws per corrupted triple before the last one stands
+
 
 @dataclass
 class TrainConfig:
@@ -88,9 +90,7 @@ def _init_table(kg: KnowledgeGraph, config: TrainConfig) -> tuple[EmbeddingTable
     bound = 6.0 / np.sqrt(config.dim)
     vectors = rng.uniform(-bound, bound, size=(n, config.dim))
     pred_mask = np.array([k == KIND_PREDICATE for k in kg.kinds])
-    norms = np.linalg.norm(vectors[pred_mask], axis=1, keepdims=True)
-    norms[norms < 1e-12] = 1.0
-    vectors[pred_mask] = vectors[pred_mask] / norms
+    _renormalize(vectors, pred_mask)
     table = EmbeddingTable(
         dim=config.dim,
         vectors=vectors,
@@ -100,13 +100,13 @@ def _init_table(kg: KnowledgeGraph, config: TrainConfig) -> tuple[EmbeddingTable
     return table, ~pred_mask
 
 
-def _renormalize(vectors: np.ndarray, vertex_mask: np.ndarray) -> None:
-    norms = np.linalg.norm(vectors[vertex_mask], axis=1, keepdims=True)
+def _renormalize(vectors: np.ndarray, mask: np.ndarray) -> None:
+    norms = np.linalg.norm(vectors[mask], axis=1, keepdims=True)
     norms[norms < 1e-12] = 1.0
-    vectors[vertex_mask] = vectors[vertex_mask] / norms
+    vectors[mask] = vectors[mask] / norms
 
 
-def _sample_negatives(rng, pos, vertex_ids, positive_set, max_tries=100):
+def _sample_negatives(rng, pos, vertex_ids, positive_set):
     """Corrupt subject or object of each triple, avoiding stored positives."""
     n = pos.shape[0]
     neg = pos.copy()
@@ -114,7 +114,7 @@ def _sample_negatives(rng, pos, vertex_ids, positive_set, max_tries=100):
     for t in range(n):
         col = 0 if sides[t] == 0 else 2
         orig = pos[t, col]
-        for _ in range(max_tries):
+        for _ in range(NEGATIVE_TRIES):
             repl = vertex_ids[rng.integers(0, len(vertex_ids))]
             if repl == orig:
                 continue

@@ -40,12 +40,7 @@ def random_instance(rng: np.random.Generator, n: int, m: int, k: int, exact_size
 
     vertex_sets = [fresh(size()) for _ in range(n)]
     edge_sets = [fresh(size()) for _ in range(m)]
-    sets = CandidateSets(
-        vertex_sets,
-        edge_sets,
-        vertex_terms=[None] * n,
-        edge_terms=[None] * m,
-    )
+    sets = CandidateSets(vertex_sets, edge_sets)
     weights: dict = {}
     for i1 in range(n):
         for i2 in range(i1 + 1, n):
@@ -112,12 +107,7 @@ def load_instance(path):
         raise ParseError(path, 0, "missing n/m header")
     if sorted(vertex_sets) != list(range(n)) or sorted(edge_sets) != list(range(m)):
         raise ParseError(path, 0, "vertex/edge set indices do not match n/m")
-    sets = CandidateSets(
-        [vertex_sets[i] for i in range(n)],
-        [edge_sets[j] for j in range(m)],
-        vertex_terms=[None] * n,
-        edge_terms=[None] * m,
-    )
+    sets = CandidateSets([vertex_sets[i] for i in range(n)], [edge_sets[j] for j in range(m)])
     missing = [
         (i1, v1, i2, v2, j)
         for i1 in range(n)

@@ -48,7 +48,6 @@ class LexiconEntry:
     surface: str
     item: int
     character: str
-    match_score: float
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,6 @@ class TermGraph:
 class AnnotatedQuery:
     terms: list[CandidateTerm]
     segmentation_score: float
-    covered_tokens: int
 
     @property
     def n(self) -> int:
@@ -135,13 +133,15 @@ def _read_tsv(path):
 
 class Lexicon:
     """surface phrase -> candidate graph items, plus a word-count index
-    used by the bounded fuzzy matcher."""
+    used by the bounded fuzzy matcher.  A surface lists each (item,
+    character) once; every entry is an exact match, the fuzzy discount is
+    applied at lookup time by ``generate_candidate_terms``."""
 
     def __init__(self):
         self._by_surface: dict[str, list[LexiconEntry]] = {}
         self._by_word_count: dict[int, list[str]] = {}
 
-    def add(self, surface: str, item: int, character: str, score: float) -> None:
+    def add(self, surface: str, item: int, character: str) -> None:
         surface = normalize(surface)
         if not surface:
             return
@@ -151,12 +151,9 @@ class Lexicon:
             self._by_surface[surface] = entries
             wc = len(surface.split())
             self._by_word_count.setdefault(wc, []).append(surface)
-        for i, e in enumerate(entries):
-            if e.item == item and e.character == character:
-                if score > e.match_score:
-                    entries[i] = LexiconEntry(surface, item, character, score)
-                return
-        entries.append(LexiconEntry(surface, item, character, score))
+        entry = LexiconEntry(surface, item, character)
+        if entry not in entries:
+            entries.append(entry)
 
     def lookup(self, surface: str) -> list[LexiconEntry]:
         return self._by_surface.get(surface, [])
@@ -178,7 +175,7 @@ def build_lexicon(kg: KnowledgeGraph, labels_path=None, paraphrase_path=None) ->
     lex = Lexicon()
     for item in range(kg.num_items()):
         character = _KIND_TO_CHAR[kg.kind_of(item)]
-        lex.add(auto_surface(kg.iri_of(item)), item, character, EXACT_SCORE)
+        lex.add(auto_surface(kg.iri_of(item)), item, character)
 
     if labels_path is not None:
         for line_no, iri, label in _read_tsv(labels_path):
@@ -186,7 +183,7 @@ def build_lexicon(kg: KnowledgeGraph, labels_path=None, paraphrase_path=None) ->
                 item = kg.id_of(iri)
             except UnknownItemError:
                 raise ParseError(labels_path, line_no, f"label references unknown IRI {iri!r}")
-            lex.add(label, item, _KIND_TO_CHAR[kg.kind_of(item)], EXACT_SCORE)
+            lex.add(label, item, _KIND_TO_CHAR[kg.kind_of(item)])
 
     if paraphrase_path is not None:
         for line_no, phrase, iri in _read_tsv(paraphrase_path):
@@ -196,7 +193,7 @@ def build_lexicon(kg: KnowledgeGraph, labels_path=None, paraphrase_path=None) ->
                 raise ParseError(paraphrase_path, line_no, f"paraphrase references unknown IRI {iri!r}")
             if kg.kind_of(item) != KIND_PREDICATE:
                 raise ParseError(paraphrase_path, line_no, f"paraphrase target {iri!r} is not a predicate")
-            lex.add(phrase, item, CHAR_RELATION, EXACT_SCORE)
+            lex.add(phrase, item, CHAR_RELATION)
 
     return lex
 
@@ -233,7 +230,6 @@ def generate_candidate_terms(
     lexicon: Lexicon,
     k: int = 10,
     fuzzy: bool = False,
-    stopwords: frozenset[str] = STOPWORDS,
 ) -> list[CandidateTerm]:
     """Emit a CandidateTerm for every (span, character) with lexicon matches.
 
@@ -248,7 +244,7 @@ def generate_candidate_terms(
     for start in range(len(norm)):
         for end in range(start + 1, len(norm) + 1):
             words = norm[start:end]
-            if all(w in stopwords for w in words):
+            if all(w in STOPWORDS for w in words):
                 continue
             surface = normalize(" ".join(words))
             found: dict[str, dict[int, float]] = {}
@@ -259,12 +255,12 @@ def generate_candidate_terms(
                     bucket[entry.item] = score
 
             for entry in lexicon.lookup(surface):
-                record(entry, entry.match_score * EXACT_SCORE)
+                record(entry, EXACT_SCORE)
             if fuzzy:
                 for cand_surface in lexicon.surfaces_with_word_count(len(words)):
                     if cand_surface != surface and _fuzzy_match(words, cand_surface):
                         for entry in lexicon.lookup(cand_surface):
-                            record(entry, entry.match_score * FUZZY_SCORE)
+                            record(entry, FUZZY_SCORE)
 
             for character in (CHAR_ENTITY, CHAR_CLASS, CHAR_RELATION):
                 bucket = found.get(character)
@@ -328,7 +324,6 @@ def rank_segmentations(
     candidates: list[CandidateTerm],
     tokens: list[str],
     top_n: int = 5,
-    stopwords: frozenset[str] = STOPWORDS,
 ) -> list[AnnotatedQuery]:
     """Score every clique and return the top-N annotated queries.
 
@@ -337,7 +332,7 @@ def rank_segmentations(
     Ties: more covered tokens, fewer terms, lexicographic span order.
     """
     norm = [t.lower() for t in tokens]
-    content = [i for i, t in enumerate(norm) if t not in stopwords]
+    content = [i for i, t in enumerate(norm) if t not in STOPWORDS]
     total_content = len(content)
 
     ranked: list[tuple[tuple, AnnotatedQuery]] = []
@@ -352,7 +347,7 @@ def rank_segmentations(
         coverage = covered_content / total_content if total_content else 0.0
         mean_match = sum(t.match_score for t in terms) / len(terms)
         score = coverage + mean_match
-        aq = AnnotatedQuery(terms=terms, segmentation_score=score, covered_tokens=len(covered))
+        aq = AnnotatedQuery(terms=terms, segmentation_score=score)
         key = (-score, -len(covered), len(terms), tuple(t.span for t in terms))
         ranked.append((key, aq))
 
@@ -360,11 +355,11 @@ def rank_segmentations(
     return [aq for _, aq in ranked[:top_n]]
 
 
-def annotate(tokens, lexicon, k=10, top_n=5, fuzzy=False, node_cap=DEFAULT_NODE_CAP):
+def annotate(tokens, lexicon, k=10, top_n=5, fuzzy=False):
     """Convenience wrapper running the whole Phase-I chain."""
     candidates = generate_candidate_terms(tokens, lexicon, k=k, fuzzy=fuzzy)
     if not candidates:
         return []
     graph = build_term_graph(candidates)
-    cliques = enumerate_maximal_cliques(graph, node_cap=node_cap)
+    cliques = enumerate_maximal_cliques(graph)
     return rank_segmentations(cliques, candidates, tokens, top_n=top_n)

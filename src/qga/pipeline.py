@@ -13,12 +13,13 @@ import numpy as np
 from . import lexicon as lexicon_mod
 from .assembler import (
     BOUND_NAMES,
+    CandidateSets,
     build_candidate_sets,
     build_condensed_graph,
     embedding_cost_source,
     solve_qga,
 )
-from .errors import InfeasibleAssemblyError, QgaError, UninterpretableQueryError
+from .errors import InfeasibleAssemblyError, QgaError, UninterpretableQueryError, UnknownItemError
 from .instances import build_random_graph
 from .predictor import predict_missing_relations
 from .sparql import emit_sparql, evaluate_bgp
@@ -63,6 +64,29 @@ def _normalized_cost(q) -> float:
     return (q.total_cost + q.predicted_cost) / edge_count
 
 
+def _vectored_sets(aq, sets: CandidateSets, tokens, table) -> CandidateSets:
+    """``sets`` without the candidates that have no vector, which no edge
+    cost can score.  Synthetic free-variable sets stay; a term whose every
+    candidate lacks a vector raises UnknownItemError naming the term."""
+    items = [v for s in sets.vertex_sets + sets.edge_sets for v in s]
+    vectored = dict(zip(items, table.has_vector(items).tolist()))
+
+    def keep(candidates, term):
+        kept = tuple(v for v in candidates if vectored[v])
+        if not kept:
+            words = " ".join(tokens[term.start : term.end])
+            raise UnknownItemError(f"no candidate of {term.character} term {words!r} has a vector")
+        return kept
+
+    vertex_terms = [t for t in aq.terms if t.character != lexicon_mod.CHAR_RELATION]
+    edge_terms = [t for t in aq.terms if t.character == lexicon_mod.CHAR_RELATION]
+    free = sets.vertex_sets[len(vertex_terms) :]
+    return CandidateSets(
+        [keep(s, t) for s, t in zip(sets.vertex_sets, vertex_terms)] + free,
+        [keep(s, t) for s, t in zip(sets.edge_sets, edge_terms)],
+    )
+
+
 def answer_keywords(tokens, kg, lexicon, table, config: PipelineConfig | None = None) -> PipelineResult:
     """Interpret a keyword token list against the store and answer it.
 
@@ -91,6 +115,8 @@ def answer_keywords(tokens, kg, lexicon, table, config: PipelineConfig | None = 
         candidates.append(cand)
         try:
             sets = build_candidate_sets(aq)
+            if sets.m:  # only edge costs need vectors; vertex-only sets stay as annotated
+                sets = _vectored_sets(aq, sets, tokens, table)
             cand.sets = sets
             graph = build_condensed_graph(sets, embedding_cost_source(table))
             q, stats = solve_qga(graph, bound=config.bound)

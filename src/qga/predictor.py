@@ -25,25 +25,27 @@ from .assembler import FREE_VAR, AssembledEdge, QueryGraph
 from .embedding import condensed_edge_weights
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way; callers join two
+    roots by pointing the larger at the smaller."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def connected_components(q: QueryGraph) -> list[list[int]]:
     """Partition of vertex-set indices by undirected edge reachability,
     ordered by smallest member."""
     n = len(q.vertices)
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for e in q.all_edges:
-        a, b = find(e.set1), find(e.set2)
+        a, b = _find(parent, e.set1), _find(parent, e.set2)
         if a != b:
             parent[max(a, b)] = min(a, b)
     groups: dict[int, list[int]] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(_find(parent, i), []).append(i)
     return [sorted(groups[r]) for r in sorted(groups)]
 
 
@@ -158,23 +160,16 @@ def build_prediction_graph(components, table, predicates, q: QueryGraph) -> Pred
 def minimum_spanning_tree(p: PredictionGraph) -> list[PredictionEdge]:
     """Kruskal over the component graph; ties by (weight, comp1, comp2)."""
     parent = list(range(p.r))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     tree = []
     for e in sorted(p.edges, key=lambda e: (e.weight, e.comp1, e.comp2)):
-        a, b = find(e.comp1), find(e.comp2)
+        a, b = _find(parent, e.comp1), _find(parent, e.comp2)
         if a != b:
             parent[max(a, b)] = min(a, b)
             tree.append(e)
     return tree
 
 
-def mst_connect(p: PredictionGraph, q: QueryGraph, table=None, predicates=None) -> QueryGraph:
+def mst_connect(p: PredictionGraph, q: QueryGraph, table, predicates) -> QueryGraph:
     """Add the spanning tree's labels to q.predicted_edges; q ends connected.
 
     Tree edges are realized in acceptance order.  The first edge reaching a
@@ -194,8 +189,6 @@ def mst_connect(p: PredictionGraph, q: QueryGraph, table=None, predicates=None) 
         )
         if not clash:
             return e
-        if table is None or predicates is None:
-            raise ValueError("cannot re-resolve a bridged prediction without the cost table")
         preds = _vectored_predicates(table, predicates)
         left = [(fixed[e.set1], e.set1)] if e.set1 in fixed else [
             (v, e.set1) for v in sorted(_candidate_vertices(q, e.set1, table))
@@ -233,4 +226,4 @@ def predict_missing_relations(q: QueryGraph, table, predicates) -> QueryGraph:
     if len(components) < 2:
         return q
     graph = build_prediction_graph(components, table, predicates, q)
-    return mst_connect(graph, q, table=table, predicates=predicates)
+    return mst_connect(graph, q, table, predicates)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .assembler import FREE_VAR, QueryGraph
 from .embedding import DIR_FORWARD
@@ -17,21 +17,13 @@ class Var:
         return "?" + self.name
 
 
-Pattern = tuple  # (subject, predicate, object), each Var or IRI string
-
-
 @dataclass
 class StructuredQuery:
     select_vars: list[str]
-    patterns: list[Pattern]
+    patterns: list[tuple]  # (subject, predicate, object), each Var or IRI string
     text: str
     is_ask: bool = False
-    predicted_flags: list[bool] = field(default_factory=list)
     entity_answer: str | None = None
-
-
-def _term_str(t) -> str:
-    return str(t)
 
 
 def emit_sparql(q: QueryGraph, kg: KnowledgeGraph) -> StructuredQuery:
@@ -46,7 +38,7 @@ def emit_sparql(q: QueryGraph, kg: KnowledgeGraph) -> StructuredQuery:
     if not q.vertices:
         raise ValueError("empty query graph")
     terms: list = []
-    patterns: list[Pattern] = []
+    patterns: list[tuple] = []
     flags: list[bool] = []
     select_vars: list[str] = []
     for i, item in enumerate(q.vertices):
@@ -73,7 +65,7 @@ def emit_sparql(q: QueryGraph, kg: KnowledgeGraph) -> StructuredQuery:
     lines = []
     body = []
     for pat, predicted in zip(patterns, flags):
-        row = "  %s %s %s ." % tuple(_term_str(t) for t in pat)
+        row = "  %s %s %s ." % tuple(str(t) for t in pat)
         if predicted:
             row += "  # predicted"
         body.append(row)
@@ -99,7 +91,6 @@ def emit_sparql(q: QueryGraph, kg: KnowledgeGraph) -> StructuredQuery:
         patterns=patterns,
         text="\n".join(lines) + "\n",
         is_ask=is_ask,
-        predicted_flags=flags,
         entity_answer=entity_answer,
     )
 

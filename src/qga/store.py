@@ -18,8 +18,6 @@ KIND_ENTITY = 0
 KIND_CLASS = 1
 KIND_PREDICATE = 2
 
-KIND_NAMES = {KIND_ENTITY: "entity", KIND_CLASS: "class", KIND_PREDICATE: "predicate"}
-
 DEFAULT_TYPE_PREDICATE = "rdf:type"
 
 _LITERAL_RE = re.compile(r'^"(?P<lex>.*)"(?:\^\^(?P<dtype>\S+))?$')
@@ -35,7 +33,6 @@ class KnowledgeGraph:
     items: list[str] = field(default_factory=list)
     kinds: list[int] = field(default_factory=list)
     triples: list[tuple[int, int, int]] = field(default_factory=list)
-    type_edges: dict[int, set[int]] = field(default_factory=dict)
 
     def __post_init__(self):
         self._id_of: dict[str, int] = {s: i for i, s in enumerate(self.items)}
@@ -190,7 +187,6 @@ def load_triples(path, type_predicate: str = DEFAULT_TYPE_PREDICATE) -> Knowledg
 
     triples: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
-    type_edges: dict[int, set[int]] = {}
     for s, p, o in raw:
         si = intern(s, kind_for_vertex(s))
         pi = intern(p, KIND_PREDICATE)
@@ -200,11 +196,8 @@ def load_triples(path, type_predicate: str = DEFAULT_TYPE_PREDICATE) -> Knowledg
         if t not in seen:
             seen.add(t)
             triples.append(t)
-        if p == type_predicate:
-            type_edges.setdefault(si, set()).add(oi)
         if lit and lit.group("dtype"):
-            di = intern(lit.group("dtype"), KIND_CLASS)
-            type_edges.setdefault(oi, set()).add(di)
+            intern(lit.group("dtype"), KIND_CLASS)
 
     triples.sort()
     return KnowledgeGraph(
@@ -212,6 +205,5 @@ def load_triples(path, type_predicate: str = DEFAULT_TYPE_PREDICATE) -> Knowledg
         items=items,
         kinds=kinds,
         triples=triples,
-        type_edges=type_edges,
     )
 

@@ -82,8 +82,7 @@ def test_degenerate_free_variable_injection():
     aq = FakeAQ([term(0, 1, "entity", [10]), term(1, 2, "relation", [20])])
     sets = build_candidate_sets(aq)
     assert sets.n == 2 and sets.m == 1
-    assert sets.vertex_sets[1] == (FREE_VAR,)
-    assert sets.vertex_terms[1] is None
+    assert sets.vertex_sets == [(10,), (FREE_VAR,)]
 
 
 def test_relations_only_injects_two_free_variables():
@@ -111,9 +110,7 @@ def test_empty_aq_errors():
 
 
 def test_condensed_graph_counts_running_example():
-    sets = CandidateSets(
-        [(10,), (11,), (12, 13)], [(20, 21), (22, 23)], [None] * 3, [None] * 2
-    )
+    sets = CandidateSets([(10,), (11,), (12, 13)], [(20, 21), (22, 23)])
     weights = {}
     rng = np.random.default_rng(0)
     for i1, i2 in itertools.combinations(range(3), 2):
@@ -127,7 +124,7 @@ def test_condensed_graph_counts_running_example():
 
 
 def test_minimal_graph():
-    sets = CandidateSets([(1,), (2,)], [(9,)], [None] * 2, [None])
+    sets = CandidateSets([(1,), (2,)], [(9,)])
     graph = build_condensed_graph(
         sets, table_cost_source({(0, 1, 1, 2, 0): (0.5, 9, 0)})
     )
@@ -150,7 +147,7 @@ def test_size_bounds_on_random_instances():
 
 
 def test_requires_two_vertex_sets_for_edges():
-    sets = CandidateSets([(1,)], [(9,)], [None], [None])
+    sets = CandidateSets([(1,)], [(9,)])
     with pytest.raises(ValueError):
         build_condensed_graph(sets, None)
 
@@ -209,9 +206,7 @@ def test_compatible_with_matches_pairwise_function():
 
 def lb_fixture_graph():
     """One vertex-set pair per left node: 2 rights x 3 lefts, no (a)-conflicts."""
-    sets = CandidateSets(
-        [(1,), (2,), (3,), (4,)], [(8,), (9,)], [None] * 4, [None] * 2
-    )
+    sets = CandidateSets([(1,), (2,), (3,), (4,)], [(8,), (9,)])
     weights = {}
     vals = iter([0.1, 0.2, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4])
     for i1, i2 in itertools.combinations(range(4), 2):
@@ -289,7 +284,7 @@ def test_km_dominates_naive_on_sampled_states():
 
 def test_greedy_lb_keeps_cheapest_per_relation():
     # Z: e1(L1,R1,w=1), e2(L1,R2,w=2), e3(L2,R2,w=3); cheapest per right: 1 + 2
-    sets = CandidateSets([(1,), (2,), (3,)], [(8,), (9,)], [None] * 3, [None] * 2)
+    sets = CandidateSets([(1,), (2,), (3,)], [(8,), (9,)])
     weights = {
         (0, 1, 1, 2, 0): (1.0, 8, 0),
         (0, 1, 1, 2, 1): (2.0, 9, 0),
@@ -384,7 +379,7 @@ def test_hungarian_matches_factorial_enumeration():
 
 
 def test_single_edge_instance():
-    sets = CandidateSets([(1,), (2,)], [(9,)], [None] * 2, [None])
+    sets = CandidateSets([(1,), (2,)], [(9,)])
     g = build_condensed_graph(sets, table_cost_source({(0, 1, 1, 2, 0): (0.37, 9, 1)}))
     q, stats = solve_qga(g)
     assert q.total_cost == pytest.approx(0.37)
@@ -393,7 +388,7 @@ def test_single_edge_instance():
 
 
 def test_infeasible_two_relations_single_pair():
-    sets = CandidateSets([(1,), (2,)], [(8,), (9,)], [None] * 2, [None] * 2)
+    sets = CandidateSets([(1,), (2,)], [(8,), (9,)])
     weights = {
         (0, 1, 1, 2, 0): (0.1, 8, 0),
         (0, 1, 1, 2, 1): (0.2, 9, 0),
@@ -407,9 +402,7 @@ def test_infeasible_two_relations_single_pair():
 
 def test_pinned_weights_argmin_contract():
     """Two competing assemblies with pinned costs; the cheaper one wins."""
-    sets = CandidateSets(
-        [(1,), (2,), (3, 4)], [(8,), (9,)], [None] * 3, [None] * 2
-    )
+    sets = CandidateSets([(1,), (2,), (3, 4)], [(8,), (9,)])
     # assembly A: edges (set0,set1) and (set1,set2@3): total 1.76
     # assembly B: edges (set0,set1) and (set0,set2@4): total 2.46
     weights = {
@@ -468,12 +461,7 @@ def test_relabeling_preserves_optimal_cost():
     new_vertex_sets = [None] * 3
     for old_i in range(3):
         new_vertex_sets[perm[old_i]] = sets.vertex_sets[old_i]
-    new_sets = CandidateSets(
-        new_vertex_sets,
-        list(sets.edge_sets),
-        [None] * 3,
-        [None] * sets.m,
-    )
+    new_sets = CandidateSets(new_vertex_sets, list(sets.edge_sets))
     new_weights = {}
     for (i1, v1, i2, v2, j), val in weights.items():
         a, b = perm[i1], perm[i2]
@@ -505,7 +493,7 @@ def test_solver_stats_do_not_depend_on_anything_but_the_graph():
 
 
 def test_oracle_m0_vertex_only():
-    sets = CandidateSets([(1, 2), (3,)], [], [None] * 2, [])
+    sets = CandidateSets([(1, 2), (3,)], [])
     g = build_condensed_graph(sets, None)
     cost, q = brute_force_oracle(g)
     assert cost == 0.0 and q.vertices == [1, 3]

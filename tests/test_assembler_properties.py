@@ -74,7 +74,7 @@ def embedded_sets(draw):
     edge_sets = [
         tuple(draw(st.lists(st.sampled_from(PREDICATES), min_size=1, max_size=3, unique=True))) for _ in range(m)
     ]
-    return CandidateSets(vertex_sets, edge_sets, [None] * n, [None] * m), table
+    return CandidateSets(vertex_sets, edge_sets), table
 
 
 @PROPERTY_SETTINGS
@@ -120,7 +120,7 @@ def weighted_instances(draw):
                 for j in range(m):
                     w = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
                     weights[(i1, v1, i2, v2, j)] = (w, 100 + j, DIR_FORWARD)
-    return CandidateSets(vertex_sets, edge_sets, [None] * n, [None] * m), weights
+    return CandidateSets(vertex_sets, edge_sets), weights
 
 
 @PROPERTY_SETTINGS

@@ -97,7 +97,6 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
     sets, weights = random_instance(np.random.default_rng(3), 2, 1, 1)
     # two relations, one vertex pair: force infeasibility
     sets.edge_sets.append((99,))
-    sets.edge_terms.append(None)
     for (i1, v1, i2, v2, _j) in list(weights):
         weights[(i1, v1, i2, v2, 1)] = (0.5, 99, 0)
     path = tmp_path / "inst.txt"

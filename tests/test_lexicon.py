@@ -36,15 +36,27 @@ def test_explicit_label_entry(tmp_path, mini_kg):
     labels.write_text("dbo:almaMater\tgraduate from\n")
     lex = build_lexicon(mini_kg, labels, None)
     entries = lex.lookup("graduate from")
-    assert [(mini_kg.iri_of(e.item), e.character, e.match_score) for e in entries] == [
-        ("dbo:almaMater", "relation", 1.0)
-    ]
+    assert [(mini_kg.iri_of(e.item), e.character) for e in entries] == [("dbo:almaMater", "relation")]
 
 
 def test_auto_label_without_explicit_label(mini_kg):
     lex = build_lexicon(mini_kg)
     entries = lex.lookup("death date")
     assert len(entries) == 1 and mini_kg.iri_of(entries[0].item) == "dbo:deathDate"
+
+
+def test_label_equal_to_auto_surface_gives_one_entry(tmp_path, mini_kg):
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("dbo:deathDate\tDeath  Date\n")
+    entries = build_lexicon(mini_kg, labels, None).lookup("death date")
+    assert [(mini_kg.iri_of(e.item), e.character) for e in entries] == [("dbo:deathDate", "relation")]
+
+
+def test_repeated_paraphrase_line_gives_one_entry(tmp_path, mini_kg):
+    paraphrases = tmp_path / "paraphrases.tsv"
+    paraphrases.write_text("studied at\tdbo:almaMater\nstudied at\tdbo:almaMater\n")
+    entries = build_lexicon(mini_kg, None, paraphrases).lookup("studied at")
+    assert [(mini_kg.iri_of(e.item), e.character) for e in entries] == [("dbo:almaMater", "relation")]
 
 
 def test_label_unknown_iri_errors_with_line(tmp_path, mini_kg):

@@ -52,6 +52,40 @@ def test_predicted_edges_fill_omitted_relation(mini_kg, mini_lexicon, mini_table
     assert answers_of(result, mini_kg) == gold_answers("q02")
 
 
+def without_vectors(table, ids):
+    has = table.has.copy()
+    has[list(ids)] = False
+    return EmbeddingTable(dim=table.dim, vectors=table.vectors, has=has, items=table.items)
+
+
+@pytest.mark.parametrize("qid", ["q01", "q02", "q06", "q10"])
+def test_losing_candidate_without_vector_is_dropped(qid, mini_kg, mini_lexicon, mini_table, mini_queries):
+    """res:USA_Today loses to res:United_States in the "USA" set; without a
+    vector it leaves the set and the answer stays the full table's."""
+    tokens = dict(mini_queries)[qid]
+    usa_today = mini_kg.id_of("res:USA_Today")
+    full = answer_keywords(tokens, mini_kg, mini_lexicon, mini_table)
+    holed = answer_keywords(tokens, mini_kg, mini_lexicon, without_vectors(mini_table, [usa_today]))
+    assert holed.structured_query.text == full.structured_query.text
+    assert holed.bindings == full.bindings
+    for cand in holed.candidates:
+        if cand.sets is not None and cand.sets.m:
+            assert all(usa_today not in s for s in cand.sets.vertex_sets)
+
+
+def test_term_without_any_vectored_candidate_names_the_term(mini_kg, mini_lexicon, mini_table):
+    table = without_vectors(mini_table, mini_kg.predicates)
+    with pytest.raises(InfeasibleAssemblyError) as err:
+        answer_keywords("university locate USA".split(), mini_kg, mini_lexicon, table)
+    assert err.value.reasons == ["UnknownItemError: \"no candidate of relation term 'locate' has a vector\""]
+
+
+def test_vertex_only_query_keeps_unvectored_candidates(mini_kg, mini_lexicon, mini_table):
+    table = without_vectors(mini_table, [mini_kg.id_of("res:Albert_Einstein")])
+    result = answer_keywords(["einstein"], mini_kg, mini_lexicon, table)
+    assert result.structured_query.entity_answer == "res:Albert_Einstein"
+
+
 def test_winner_selection_scale_invariant(mini_kg, mini_lexicon, mini_table):
     """Scaling every vector scales every cost; the argmin is unchanged."""
     tokens = "scientist graduate from university locate USA".split()

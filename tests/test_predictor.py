@@ -118,9 +118,7 @@ def tied_prediction_inputs(draw):
     vertices = [s[0] for s in vertex_sets]
     edges = [edge(0, 1, v1=vertices[0], v2=vertices[1])] if n > 2 and draw(st.booleans()) else []
     preds = draw(st.lists(st.sampled_from(range(8, 12)), min_size=1, max_size=4, unique=True))
-    q = QueryGraph(
-        vertices=vertices, edges=edges, total_cost=0.0, sets=CandidateSets(vertex_sets, [], [None] * n, [])
-    )
+    q = QueryGraph(vertices=vertices, edges=edges, total_cost=0.0, sets=CandidateSets(vertex_sets, []))
     return table, q, preds
 
 
@@ -211,7 +209,7 @@ def test_mst_connect_adds_r_minus_1_edges_and_connects():
     comps = connected_components(q)
     assert len(comps) == 3
     pg = build_prediction_graph(comps, table, [4, 5], q)
-    out = mst_connect(pg, q)
+    out = mst_connect(pg, q, table, [4, 5])
     assert len(out.predicted_edges) == 2
     assert all(e.predicted for e in out.predicted_edges)
     assert connected_components(out) == [[0, 1, 2, 3]]
@@ -231,7 +229,7 @@ def test_unconstrained_set_disambiguated_by_prediction():
 
     # items: 0 anchor, 1 bad candidate (far), 2 good candidate, 3 predicate
     table = table_from([[0, 0], [9, 9], [1, 0], [1, 0]])
-    sets = CandidateSets([(0,), (1, 2)], [], [None, None], [])
+    sets = CandidateSets([(0,), (1, 2)], [])
     q = QueryGraph(vertices=[0, 1], edges=[], total_cost=0.0, sets=sets)
     out = predict_missing_relations(q, table, [3])
     assert len(out.predicted_edges) == 1
@@ -258,7 +256,7 @@ def test_bridging_component_kept_consistent():
             [1.0, 0.0],  # 4: predicate
         ]
     )
-    sets = CandidateSets([(0,), (1, 2), (3,)], [], [None] * 3, [])
+    sets = CandidateSets([(0,), (1, 2), (3,)], [])
     q = QueryGraph(vertices=[0, 1, 3], edges=[], total_cost=0.0, sets=sets)
     out = predict_missing_relations(q, table, [4])
     assert len(out.predicted_edges) == 2
@@ -320,7 +318,7 @@ def test_unpinned_candidate_without_vector_skipped():
     # items: 0 anchor, 1 candidate with no vector (zero row: would cost 0), 2 candidate, 3 predicate
     table = table_from([[0, 0], [0, 0], [2, 0], [1, 0]])
     table.has[1] = False
-    sets = CandidateSets([(0,), (1, 2)], [], [None, None], [])
+    sets = CandidateSets([(0,), (1, 2)], [])
     q = QueryGraph(vertices=[0, 1], edges=[], total_cost=0.0, sets=sets)
     out = predict_missing_relations(q, table, [3])
     assert out.vertices == [0, 2]
