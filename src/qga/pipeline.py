@@ -6,14 +6,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import lexicon as lexicon_mod
 from .assembler import (
     BOUND_NAMES,
-    CandidateSets,
+    FREE_VAR,
     build_candidate_sets,
     build_condensed_graph,
     embedding_cost_source,
@@ -64,27 +64,22 @@ def _normalized_cost(q) -> float:
     return (q.total_cost + q.predicted_cost) / edge_count
 
 
-def _vectored_sets(aq, sets: CandidateSets, tokens, table) -> CandidateSets:
-    """``sets`` without the candidates that have no vector, which no edge
-    cost can score.  Synthetic free-variable sets stay; a term whose every
-    candidate lacks a vector raises UnknownItemError naming the term."""
-    items = [v for s in sets.vertex_sets + sets.edge_sets for v in s]
-    vectored = dict(zip(items, table.has_vector(items).tolist()))
-
-    def keep(candidates, term):
-        kept = tuple(v for v in candidates if vectored[v])
+def _vectored_query(aq, tokens, table):
+    """``aq`` without the candidates that have no vector, which no edge cost
+    can score.  A term whose every candidate lacks a vector raises
+    UnknownItemError naming the term."""
+    vectored = table.has_vector([item for term in aq.terms for item, _ in term.candidates])
+    if vectored.all():
+        return aq
+    flags = iter(vectored.tolist())  # one flag per candidate, in term order
+    terms = []
+    for term in aq.terms:
+        kept = tuple(c for c in term.candidates if next(flags))
         if not kept:
             words = " ".join(tokens[term.start : term.end])
             raise UnknownItemError(f"no candidate of {term.character} term {words!r} has a vector")
-        return kept
-
-    vertex_terms = [t for t in aq.terms if t.character != lexicon_mod.CHAR_RELATION]
-    edge_terms = [t for t in aq.terms if t.character == lexicon_mod.CHAR_RELATION]
-    free = sets.vertex_sets[len(vertex_terms) :]
-    return CandidateSets(
-        [keep(s, t) for s, t in zip(sets.vertex_sets, vertex_terms)] + free,
-        [keep(s, t) for s, t in zip(sets.edge_sets, edge_terms)],
-    )
+        terms.append(replace(term, candidates=kept))
+    return replace(aq, terms=terms)
 
 
 def answer_keywords(tokens, kg, lexicon, table, config: PipelineConfig | None = None) -> PipelineResult:
@@ -115,8 +110,10 @@ def answer_keywords(tokens, kg, lexicon, table, config: PipelineConfig | None = 
         candidates.append(cand)
         try:
             sets = build_candidate_sets(aq)
-            if sets.m:  # only edge costs need vectors; vertex-only sets stay as annotated
-                sets = _vectored_sets(aq, sets, tokens, table)
+            # edge costs need a vector for every candidate, but are computed
+            # only between annotated vertices: a free variable's edges read none
+            if sets.m and not any(FREE_VAR in vs for vs in sets.vertex_sets):
+                sets = build_candidate_sets(_vectored_query(aq, tokens, table))
             cand.sets = sets
             graph = build_condensed_graph(sets, embedding_cost_source(table))
             q, stats = solve_qga(graph, bound=config.bound)

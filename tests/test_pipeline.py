@@ -80,10 +80,26 @@ def test_term_without_any_vectored_candidate_names_the_term(mini_kg, mini_lexico
     assert err.value.reasons == ["UnknownItemError: \"no candidate of relation term 'locate' has a vector\""]
 
 
-def test_vertex_only_query_keeps_unvectored_candidates(mini_kg, mini_lexicon, mini_table):
-    table = without_vectors(mini_table, [mini_kg.id_of("res:Albert_Einstein")])
-    result = answer_keywords(["einstein"], mini_kg, mini_lexicon, table)
-    assert result.structured_query.entity_answer == "res:Albert_Einstein"
+@pytest.mark.parametrize(
+    "keywords, iri",
+    [
+        ("einstein", "res:Albert_Einstein"),
+        ("Alan Turing death date", "res:Alan_Turing"),
+        ("Alan Turing death date", "dbo:deathDate"),
+        ("spouse Albert Einstein", "res:Albert_Einstein"),
+        ("spouse Albert Einstein", "dbo:spouse"),
+    ],
+)
+def test_query_without_costed_edges_keeps_unvectored_candidates(
+    keywords, iri, mini_kg, mini_lexicon, mini_table
+):
+    """No relation term, or one vertex term wired to a free variable whose
+    edges cost nothing: no vector is read, so the answer stays the full
+    table's."""
+    tokens = keywords.split()
+    full = answer_keywords(tokens, mini_kg, mini_lexicon, mini_table)
+    holed = answer_keywords(tokens, mini_kg, mini_lexicon, without_vectors(mini_table, [mini_kg.id_of(iri)]))
+    assert holed.structured_query.text == full.structured_query.text
 
 
 def test_winner_selection_scale_invariant(mini_kg, mini_lexicon, mini_table):
