@@ -288,7 +288,6 @@ class SearchState:
     matched: tuple[int, ...]
     compatible: np.ndarray
     cost: float
-    lower_bound: float = 0.0
 
 
 def naive_lb(state: SearchState, m: int) -> float:
@@ -502,7 +501,6 @@ def solve_qga(
         matched=(),
         compatible=np.arange(len(weights), dtype=np.int64),
         cost=0.0,
-        lower_bound=0.0,
     )
     # entries: (key, cost, -depth, seq, state, t); t < 0 marks a state,
     # t >= 0 the sibling stream of the state's children t, t + 1, ...
@@ -549,14 +547,14 @@ def solve_qga(
             compatible=rest[compatible_with(graph, e, rest)],
             cost=state.cost + float(weights[e]),
         )
-        child.lower_bound = lb_fn(child, m)
+        lower_bound = lb_fn(child, m)
         stats.bound_evaluations += 1
-        if math.isinf(child.lower_bound):
+        if math.isinf(lower_bound):
             stats.states_pruned += 1
         else:
             heapq.heappush(
                 heap,
-                (child.lower_bound, child.cost, -len(child.matched), next(seq), child, -1),
+                (lower_bound, child.cost, -len(child.matched), next(seq), child, -1),
             )
             stats.states_pushed += 1
         push_siblings(state, t + 1)

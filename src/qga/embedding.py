@@ -235,6 +235,8 @@ def load_table(path, kg: KnowledgeGraph) -> EmbeddingTable:
                 item = kg.id_of(iri)
             except UnknownItemError:
                 raise UnknownItemError(f"{path}:{line_no}: unknown IRI {iri!r}")
+            if has[item]:  # a second row would silently replace the first
+                raise VectorFormatError(f"{path}:{line_no}: repeated IRI {iri!r}")
             values = row.split()
             if len(values) != dim:
                 raise VectorFormatError(

@@ -33,6 +33,14 @@ class PipelineConfig:
     predict: bool = True
     fuzzy: bool = False
 
+    def validate(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.top_n < 1:
+            raise ValueError("top_n must be >= 1")
+        if self.bound not in BOUND_NAMES:
+            raise ValueError(f"unknown bound {self.bound!r}, expected one of {BOUND_NAMES}")
+
 
 @dataclass
 class CandidateResult:
@@ -89,9 +97,11 @@ def answer_keywords(tokens, kg, lexicon, table, config: PipelineConfig | None = 
     predicts omitted relations, picks the winner by per-edge normalized
     cost (ties: higher segmentation score, then rank), and evaluates the
     emitted query.  Raises UninterpretableQueryError when Phase-I yields
-    nothing and InfeasibleAssemblyError when every candidate fails.
+    nothing and InfeasibleAssemblyError when every candidate fails, and
+    ValueError, before any work, for an invalid ``config``.
     """
     config = config or PipelineConfig()
+    config.validate()
     aqs = lexicon_mod.annotate(
         tokens, lexicon, k=config.k, top_n=config.top_n, fuzzy=config.fuzzy
     )
@@ -213,7 +223,11 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def bench_instances(instance_count: int, k_values=(5, 10), n_range=(3, 4), m_range=(2, 3), seed: int = 7):
+BENCH_N_RANGE = (3, 4)  # vertex sets per bench instance, inclusive
+BENCH_M_RANGE = (2, 3)  # edge sets per bench instance, inclusive
+
+
+def bench_instances(instance_count: int, k_values=(5, 10), seed: int = 7):
     """The random graphs ``bench_lower_bounds`` solves, as (k, index, graph);
     every set has exactly k candidates."""
     if instance_count < 1:
@@ -221,25 +235,19 @@ def bench_instances(instance_count: int, k_values=(5, 10), n_range=(3, 4), m_ran
     for k in k_values:
         rng = np.random.default_rng(seed + k)
         for idx in range(instance_count):
-            n = int(rng.integers(n_range[0], n_range[1] + 1))
-            m = int(rng.integers(m_range[0], m_range[1] + 1))
+            n = int(rng.integers(BENCH_N_RANGE[0], BENCH_N_RANGE[1] + 1))
+            m = int(rng.integers(BENCH_M_RANGE[0], BENCH_M_RANGE[1] + 1))
             yield k, idx, build_random_graph(rng, n, m, k, exact_sizes=True)
 
 
-def bench_lower_bounds(
-    instance_count: int,
-    k_values=(5, 10),
-    n_range=(3, 4),
-    m_range=(2, 3),
-    seed: int = 7,
-) -> BenchReport:
+def bench_lower_bounds(instance_count: int, k_values=(5, 10), seed: int = 7) -> BenchReport:
     """Run the solver under every bound on the same random instances.
 
     Optimal costs must agree across bounds on every instance; disagreement
     raises immediately since it means an optimality bug.
     """
     report = BenchReport()
-    for k, idx, graph in bench_instances(instance_count, k_values, n_range, m_range, seed):
+    for k, idx, graph in bench_instances(instance_count, k_values, seed):
         costs = {}
         for bound in BOUND_NAMES:
             t0 = time.perf_counter()

@@ -5,6 +5,9 @@ appearance.  Every id has exactly one kind: entity, class, or predicate.
 Objects of the configured type predicate become classes, predicates become
 predicates, everything else is an entity.  Literal objects are interned like
 entities; their datatype (the part after ``^^``) is interned as a class.
+
+No query-time read scans the store: construction indexes the ids by kind and
+the triples by each bound-position shape, so a catalog or pattern read is one lookup.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ class KnowledgeGraph:
 
     def __post_init__(self):
         self._id_of: dict[str, int] = {s: i for i, s in enumerate(self.items)}
-        self._triple_set: set[tuple[int, int, int]] = set(self.triples)
+        self._by_kind: dict[int, list[int]] = {}
+        for i, k in enumerate(self.kinds):
+            self._by_kind.setdefault(k, []).append(i)
         self._by_s: dict[int, list] = {}
         self._by_p: dict[int, list] = {}
         self._by_o: dict[int, list] = {}
@@ -69,7 +74,7 @@ class KnowledgeGraph:
         return self.kinds[item]
 
     def catalog(self, kind: int) -> list[int]:
-        return [i for i, k in enumerate(self.kinds) if k == kind]
+        return list(self._by_kind.get(kind, ()))
 
     @property
     def entities(self) -> list[int]:
@@ -98,38 +103,32 @@ class KnowledgeGraph:
     # -- triple access ---------------------------------------------------
 
     def has_triple(self, s: int, p: int, o: int) -> bool:
-        self._check_id(s)
-        self._check_id(p)
-        self._check_id(o)
-        return (s, p, o) in self._triple_set
+        for x in (s, p, o):
+            self._check_id(x)  # rejects WILDCARD: membership needs three ids
+        return bool(self._lookup(s, p, o))
 
     def match_pattern(self, s=WILDCARD, p=WILDCARD, o=WILDCARD):
         """Yield triples matching the bound positions, in sorted (s,p,o) order."""
+        yield from self._lookup(s, p, o)
+
+    def count_pattern(self, s=WILDCARD, p=WILDCARD, o=WILDCARD) -> int:
+        return len(self._lookup(s, p, o))
+
+    def _lookup(self, s, p, o) -> list:
+        """The stored triples matching the bound (non-WILDCARD) positions."""
         for x in (s, p, o):
             if x is not WILDCARD:
                 self._check_id(x)
-        if s is not WILDCARD and p is not WILDCARD and o is not WILDCARD:
-            if (s, p, o) in self._triple_set:
-                yield (s, p, o)
-            return
-        if s is not WILDCARD and p is not WILDCARD:
-            pool = self._by_sp.get((s, p), [])
-        elif p is not WILDCARD and o is not WILDCARD:
-            pool = self._by_po.get((p, o), [])
-        elif s is not WILDCARD and o is not WILDCARD:
+        if s is not WILDCARD and o is not WILDCARD:
             pool = self._by_so.get((s, o), [])
-        elif s is not WILDCARD:
-            pool = self._by_s.get(s, [])
-        elif p is not WILDCARD:
-            pool = self._by_p.get(p, [])
-        elif o is not WILDCARD:
-            pool = self._by_o.get(o, [])
-        else:
-            pool = self.triples
-        yield from pool
-
-    def count_pattern(self, s=WILDCARD, p=WILDCARD, o=WILDCARD) -> int:
-        return sum(1 for _ in self.match_pattern(s, p, o))
+            if p is WILDCARD:
+                return pool
+            return [(s, p, o)] if (s, p, o) in pool else []  # a repeated triple matches once
+        if s is not WILDCARD:
+            return self._by_s.get(s, []) if p is WILDCARD else self._by_sp.get((s, p), [])
+        if o is not WILDCARD:
+            return self._by_o.get(o, []) if p is WILDCARD else self._by_po.get((p, o), [])
+        return self.triples if p is WILDCARD else self._by_p.get(p, [])
 
 
 def _parse_line(path, line_no, line):

@@ -142,3 +142,11 @@ def test_bench_writes_report(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     code = main(["train", "--kb", "/nonexistent/kg.tsv", "--out", "/tmp/x.tsv"])
     assert code == 1
+
+
+def test_query_invalid_config_is_a_usage_error(tmp_path, capsys):
+    vectors = train_vectors(tmp_path, epochs="1")
+    for flag, message in (("--k", "k must be >= 1"), ("--top-n", "top_n must be >= 1")):
+        code = main(["query", "einstein", "--kb", KB, "--vectors", str(vectors), flag, "0"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"

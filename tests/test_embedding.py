@@ -119,11 +119,24 @@ def test_load_rejects_non_finite_or_unparsable_floats(tmp_path, toy_kg, bad):
     # a nan row used to load silently and make every cost it touched nan,
     # which surfaced as an infeasible assembly instead of a format error
     path = tmp_path / "vec.tsv"
-    iri = toy_kg.iri_of(0)
-    path.write_text(f"dim=2\n{iri}\t0.5 0.25\n{iri}\t0.5 {bad}\n")
+    path.write_text(f"dim=2\n{toy_kg.iri_of(0)}\t0.5 0.25\n{toy_kg.iri_of(1)}\t0.5 {bad}\n")
     with pytest.raises(VectorFormatError) as err:
         load_table(path, toy_kg)
     assert f"{path}:3:" in str(err.value)
+    assert "repeated" not in str(err.value)
+
+
+def test_load_rejects_a_repeated_iri(tmp_path, toy_kg):
+    """A second row for an item used to replace the first silently, so an
+    appended all-zero row zeroed a trained vector."""
+    table = train_transe(toy_kg, TrainConfig(dim=3, epochs=1, seed=1))
+    path = tmp_path / "vec.tsv"
+    save_table(table, path)
+    rows = path.read_text().splitlines()
+    path.write_text("\n".join(rows + [f"{toy_kg.iri_of(0)}\t0.0 0.0 0.0"]) + "\n")
+    with pytest.raises(VectorFormatError) as err:
+        load_table(path, toy_kg)
+    assert f"{path}:{len(rows) + 1}: repeated IRI" in str(err.value)
 
 
 def test_load_missing_header(tmp_path, toy_kg):

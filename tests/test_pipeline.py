@@ -38,6 +38,26 @@ def test_gibberish_uninterpretable(mini_kg, mini_lexicon, mini_table):
         answer_keywords(["xyzzy", "frobnicate"], mini_kg, mini_lexicon, mini_table)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("k", 0, "k must be >= 1"),
+        ("k", -1, "k must be >= 1"),
+        ("top_n", 0, "top_n must be >= 1"),
+        ("top_n", -2, "top_n must be >= 1"),
+        ("bound", "exact", "unknown bound 'exact'"),
+    ],
+)
+def test_invalid_config_is_a_value_error_before_any_work(field, value, message, mini_kg, mini_lexicon, mini_table):
+    """Not an IndexError from the lexicon, "no interpretation" or an
+    infeasible assembly: each of those hides a caller's mistake."""
+    config = PipelineConfig(**{field: value})
+    with pytest.raises(ValueError, match=message):
+        answer_keywords(["einstein"], mini_kg, mini_lexicon, mini_table, config)
+    with pytest.raises(ValueError, match=message):
+        config.validate()
+
+
 def test_no_predict_leaves_graph_disconnected(mini_kg, mini_lexicon, mini_table):
     tokens = "scientist graduate from university USA".split()
     config = PipelineConfig(predict=False)

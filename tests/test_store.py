@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from qga.errors import KindConflictError, ParseError, UnknownItemError
-from qga.store import KIND_CLASS, KIND_ENTITY, load_triples
+from qga.store import KIND_CLASS, KIND_ENTITY, KIND_PREDICATE, WILDCARD, KnowledgeGraph, load_triples
 
 
 def write(tmp_path, text, name="kg.tsv"):
@@ -74,6 +74,13 @@ def test_has_triple_unknown_id(tmp_path):
     kg = load_triples(write(tmp_path, "a\tp\tb\n"))
     with pytest.raises(UnknownItemError):
         kg.has_triple(999, 0, 1)
+    with pytest.raises(UnknownItemError):
+        kg.count_pattern(999)
+    for position in range(3):  # membership needs three ids, not a WILDCARD
+        ids = [kg.id_of("a"), kg.id_of("p"), kg.id_of("b")]
+        ids[position] = WILDCARD
+        with pytest.raises(UnknownItemError):
+            kg.has_triple(*ids)
 
 
 def test_match_pattern_examples(tmp_path):
@@ -97,6 +104,11 @@ def test_match_pattern_agrees_with_has_triple_exhaustively(tmp_path):
         expect = kg.has_triple(s, p, o)
         got = len(list(kg.match_pattern(s, p, o))) == 1
         assert got == expect
+        for bound in itertools.product((True, False), repeat=3):
+            args = [x if b else WILDCARD for x, b in zip((s, p, o), bound)]
+            matched = list(kg.match_pattern(*args))
+            assert kg.count_pattern(*args) == len(matched)
+            assert matched == [t for t in kg.triples if all(a is WILDCARD or a == x for a, x in zip(args, t))]
 
 
 def test_round_trip_and_catalog_partition(tmp_path):
@@ -108,6 +120,20 @@ def test_round_trip_and_catalog_partition(tmp_path):
     ent, cls, pred = set(kg.entities), set(kg.classes), set(kg.predicates)
     assert ent | cls | pred == set(range(kg.num_items()))
     assert not (ent & cls) and not (ent & pred) and not (cls & pred)
+    for kind in (KIND_ENTITY, KIND_CLASS, KIND_PREDICATE):
+        expect = [i for i, k in enumerate(kg.kinds) if k == kind]
+        got = kg.catalog(kind)
+        assert got == expect
+        got.clear()  # the caller's copy, not the store's index
+        assert kg.catalog(kind) == expect
+
+
+def test_directly_built_repeated_triple_matches_once():
+    kinds = [KIND_ENTITY, KIND_PREDICATE, KIND_ENTITY]
+    kg = KnowledgeGraph(items=["a", "p", "b"], kinds=kinds, triples=[(0, 1, 2), (0, 1, 2)])
+    assert list(kg.match_pattern(0, 1, 2)) == [(0, 1, 2)]
+    assert kg.count_pattern(0, 1, 2) == 1
+    assert kg.has_triple(0, 1, 2) and not kg.has_triple(2, 1, 0)
 
 
 def test_partial_binding_indexes(tmp_path):
