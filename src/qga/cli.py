@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -109,11 +110,16 @@ def cmd_train(args) -> int:
         margin=args.margin,
         seed=args.seed,
     )
+    start = time.perf_counter()
     table = train_transe(kg, config)
+    train_s = time.perf_counter() - start
     save_table(table, args.out)
+    # the same rate as perfbench's embedding.train_triples_per_s
+    rate = len(kg.triples) * config.epochs / train_s
     print(
         f"trained {kg.num_items()} items over {len(kg.triples)} triples "
-        f"(dim={config.dim}, epochs={config.epochs}); final mean loss "
+        f"(dim={config.dim}, epochs={config.epochs}) in {train_s:.2f} s "
+        f"({rate:.0f} triples/s); final mean loss "
         f"{table.final_loss:.4f}; wrote {args.out}"
     )
     return EXIT_OK

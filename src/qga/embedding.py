@@ -42,10 +42,11 @@ class TrainConfig:
     def validate(self):
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+        # nan passes a "<= 0" test, and nan or inf poisons every vector
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise ValueError("margin must be positive and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 
@@ -107,22 +108,26 @@ def _renormalize(vectors: np.ndarray, mask: np.ndarray) -> None:
 
 
 def _sample_negatives(rng, pos, vertex_ids, positive_set):
-    """Corrupt subject or object of each triple, avoiding stored positives."""
-    n = pos.shape[0]
-    neg = pos.copy()
-    sides = rng.integers(0, 2, size=n)  # 0: corrupt subject, 1: corrupt object
-    for t in range(n):
-        col = 0 if sides[t] == 0 else 2
-        orig = pos[t, col]
+    """Corrupt subject or object of each triple, avoiding stored positives.
+
+    vertex_ids is a list.  Each replacement is one scalar ``rng.integers``
+    draw: an array draw would consume the generator's stream differently.
+    """
+    rows = pos.tolist()
+    # 0: corrupt subject, 1: corrupt object
+    sides = rng.integers(0, 2, size=len(rows)).tolist()
+    for row, side in zip(rows, sides):
+        col = 0 if side == 0 else 2
+        orig = row[col]
         for _ in range(NEGATIVE_TRIES):
             repl = vertex_ids[rng.integers(0, len(vertex_ids))]
             if repl == orig:
                 continue
-            neg[t, col] = repl
-            if (neg[t, 0], neg[t, 1], neg[t, 2]) not in positive_set:
+            row[col] = repl
+            if tuple(row) not in positive_set:
                 break
         # on exhaustion the last draw stands, filtered or not
-    return neg
+    return np.array(rows, dtype=np.int64)
 
 
 def train_transe(kg: KnowledgeGraph, config: TrainConfig | None = None) -> EmbeddingTable:
@@ -140,7 +145,7 @@ def train_transe(kg: KnowledgeGraph, config: TrainConfig | None = None) -> Embed
     table, vertex_mask = _init_table(kg, config)
     rng = np.random.default_rng(config.seed + 1)
     pos_all = np.array(kg.triples, dtype=np.int64)
-    vertex_ids = np.array(kg.vertices, dtype=np.int64)
+    vertex_ids = kg.vertices
     positive_set = set(kg.triples)
 
     loss = 0.0

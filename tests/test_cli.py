@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 
 from qga.cli import main
@@ -142,6 +144,24 @@ def test_bench_writes_report(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     code = main(["train", "--kb", "/nonexistent/kg.tsv", "--out", "/tmp/x.tsv"])
     assert code == 1
+
+
+def test_train_reports_time_and_rate(tmp_path, capsys):
+    train_vectors(tmp_path, epochs="2")
+    summary = capsys.readouterr().out
+    assert re.search(r"\(dim=16, epochs=2\) in \d+\.\d\d s \(\d+ triples/s\)", summary)
+
+
+def test_train_non_finite_parameters_are_usage_errors(tmp_path, capsys):
+    out = tmp_path / "v.tsv"
+    for flag, value, message in (
+        ("--lr", "nan", "learning_rate must be positive and finite"),
+        ("--margin", "inf", "margin must be positive and finite"),
+    ):
+        argv = ["train", "--kb", KB, "--epochs", "2", flag, value, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_query_invalid_config_is_a_usage_error(tmp_path, capsys):

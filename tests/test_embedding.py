@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qga import embedding, kernels
 from qga.embedding import (
     DIR_FORWARD,
     DIR_REVERSE,
+    NEGATIVE_TRIES,
     EmbeddingTable,
     TrainConfig,
     condensed_edge_weight,
@@ -48,6 +50,42 @@ def test_zero_epochs_returns_initialization(toy_kg):
     # predicates are unit norm at init, vertices are not yet renormalized
     for p in toy_kg.predicates:
         assert np.linalg.norm(a.vectors[p]) == pytest.approx(1.0)
+
+
+def reference_sample_negatives(rng, pos, vertex_ids, positive_set):
+    """The per-element numpy sampler: the reference for the list one."""
+    n = pos.shape[0]
+    neg = pos.copy()
+    sides = rng.integers(0, 2, size=n)
+    for t in range(n):
+        col = 0 if sides[t] == 0 else 2
+        orig = pos[t, col]
+        for _ in range(NEGATIVE_TRIES):
+            repl = vertex_ids[rng.integers(0, len(vertex_ids))]
+            if repl == orig:
+                continue
+            neg[t, col] = repl
+            if (neg[t, 0], neg[t, 1], neg[t, 2]) not in positive_set:
+                break
+    return neg
+
+
+def test_training_equals_the_reference_loop_and_sampler_bitwise(
+    mini_kg, mini_table, monkeypatch
+):
+    # mini_table is TrainConfig(dim=32, epochs=200, seed=0) on the active path
+    monkeypatch.setattr(kernels, "sgd_epoch", kernels._sgd_epoch_impl)
+    monkeypatch.setattr(embedding, "_sample_negatives", reference_sample_negatives)
+    ref = train_transe(mini_kg, TrainConfig(dim=32, epochs=200, seed=0))
+    assert mini_table.vectors.tobytes() == ref.vectors.tobytes()
+    assert mini_table.final_loss == ref.final_loss
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "margin"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_train_config_rejects_non_positive_or_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        TrainConfig(**{field: value}).validate()
 
 
 def test_empty_graph_errors(tmp_path):
