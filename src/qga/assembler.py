@@ -202,25 +202,30 @@ def build_condensed_graph(sets: CandidateSets, cost_source) -> CondensedBipartit
     if m >= 1 and n < 2:
         raise ValueError("need at least two vertex sets to place predicate edges")
     vertex_sets = sets.vertex_sets
-    left_nodes = np.array(
-        [
-            (i1, v1, i2, v2)
-            for i1, i2 in itertools.combinations(range(n), 2)
-            for v1 in vertex_sets[i1]
-            for v2 in vertex_sets[i2]
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 4)
+    # (i1, v1, i2, v2) for every vertex of set i1 against every vertex of
+    # set i2, set pair by set pair: one outer product per set pair for the
+    # kernel.  itertools and fromiter flatten it in C, with no Python step
+    # per node and no per-pair numpy calls on the one-vertex sets of short
+    # queries.
+    nodes = itertools.chain.from_iterable(
+        itertools.product((i1,), vertex_sets[i1], (i2,), vertex_sets[i2])
+        for i1, i2 in itertools.combinations(range(n), 2)
+    )
+    left_nodes = np.fromiter(itertools.chain.from_iterable(nodes), dtype=np.int64).reshape(-1, 4)
     set1, vertex1, set2, vertex2 = left_nodes.T
     num_left = len(left_nodes)
-    slots = np.full((num_left, n), UNBOUND, dtype=np.int64)
+    # empty + fill: on the few-node graphs of short queries, np.full's
+    # Python wrapper costs more than the fill
+    slots = np.empty((num_left, n), dtype=np.int64)
+    slots.fill(UNBOUND)
     at = np.arange(num_left)
     slots[at, set1] = vertex1
     slots[at, set2] = vertex2
 
     weights = np.zeros((num_left, m))
     best_p = np.empty((num_left, m), dtype=np.int64)
-    direction = np.full((num_left, m), DIR_FORWARD, dtype=np.int8)
+    direction = np.empty((num_left, m), dtype=np.int8)
+    direction.fill(DIR_FORWARD)
     free = None
     costed = slice(None)
     if any(FREE_VAR in vs for vs in vertex_sets):

@@ -101,6 +101,37 @@ def test_batched_build_equals_per_cell_reference(case):
         assert graph.slots[left].tolist() == expect
 
 
+def zero_cost_source(set1, v1, set2, v2, j, predicates):
+    return np.zeros(len(v1)), np.full(len(v1), min(predicates)), np.zeros(len(v1), dtype=np.int8)
+
+
+@PROPERTY_SETTINGS
+@given(
+    vertex_sets=st.lists(
+        st.one_of(
+            st.just((FREE_VAR,)),
+            st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True).map(tuple),
+        ),
+        max_size=5,
+    ),
+    costed=st.booleans(),
+)
+def test_left_nodes_equal_the_pair_comprehension(vertex_sets, costed):
+    # singletons, free-variable sets and n < 2 (no pairs) are all drawn;
+    # with an edge set the costed pairs also go through the cost source
+    edge_sets = [(60,)] if costed and len(vertex_sets) >= 2 else []
+    graph = build_condensed_graph(CandidateSets(vertex_sets, edge_sets), zero_cost_source)
+    expected = [
+        [i1, v1, i2, v2]
+        for i1, i2 in itertools.combinations(range(len(vertex_sets)), 2)
+        for v1 in vertex_sets[i1]
+        for v2 in vertex_sets[i2]
+    ]
+    assert graph.left_nodes.dtype == np.int64
+    assert graph.left_nodes.shape == (len(expected), 4)
+    assert graph.left_nodes.tolist() == expected
+
+
 @st.composite
 def weighted_instances(draw):
     """Instances with weights from a small grid, so equal-cost matchings and

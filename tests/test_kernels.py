@@ -1,7 +1,8 @@
-"""The pair-cost grid against per-element references and the one-shot
-broadcast, and the SGD epoch (jitted or over float lists) against its
-interpreted reference loop."""
+"""The pair-cost grid against per-element and left-to-right references,
+and the SGD epoch (jitted or over float lists) against its interpreted
+reference loop."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -33,48 +34,106 @@ def test_pair_costs_grid_matches_per_element_norms():
             assert dirs[r, k] == (1 if cr < cf else 0)
 
 
-def _norms(r):
-    return np.sqrt(np.einsum("ijk,ijk->ij", r, r))
+def left_to_right_pair_costs(vec, v1, v2, preds):
+    """The reference the kernel must equal bit for bit: per cell, each
+    element's ``(a + q) - b``, the squares added left to right to 0.0 (the
+    order of ``_sgd_epoch_impl``), then ``sqrt``; ties keep the forward
+    direction."""
+    rows = vec.tolist()
+
+    def residual(x, q, y):
+        sq = 0.0
+        for xi, qi, yi in zip(x, q, y):
+            r = xi + qi - yi
+            sq += r * r
+        return math.sqrt(sq)
+
+    costs = np.empty((len(v1), len(preds)))
+    dirs = np.empty((len(v1), len(preds)), dtype=np.int8)
+    for r, (i, j) in enumerate(zip(v1, v2)):
+        for k, p in enumerate(preds):
+            cf = residual(rows[i], rows[p], rows[j])
+            cr = residual(rows[j], rows[p], rows[i])
+            costs[r, k] = cr if cr < cf else cf
+            dirs[r, k] = 1 if cr < cf else 0
+    return costs, dirs
 
 
-def one_shot_pair_costs(vec, v1, v2, preds):
-    """The unblocked broadcast formula: the reference the blocks must equal."""
-    a, b, q = vec[v1][:, None, :], vec[v2][:, None, :], vec[preds][None, :, :]
-    cf = _norms(a + q - b)
-    cr = _norms(b + q - a)
-    rev = cr < cf
-    return np.where(rev, cr, cf), rev.astype(np.int8)
+ITEMS = 5  # few items, so ids repeat and some cells have v1 == v2 (cf == cr)
+item_ids = st.integers(0, ITEMS - 1)
+id_runs = st.lists(item_ids, min_size=1, max_size=4)
 
 
-CELLS = kernels.PAIR_COST_CELLS
+def product_pairs(blocks):
+    """Concatenated outer products a x b, in row-major order."""
+    v1 = [x for a, b in blocks for x in a for _ in b]
+    v2 = [y for a, b in blocks for _ in a for y in b]
+    return v1, v2
 
 
-@settings(max_examples=60, deadline=None)
+pair_lists = st.one_of(
+    st.lists(st.tuples(id_runs, id_runs), max_size=4).map(product_pairs),
+    st.lists(st.tuples(item_ids, item_ids), max_size=12).map(lambda p: ([i for i, _ in p], [j for _, j in p])),
+)
+
+
+@settings(max_examples=150, deadline=None)
 @given(
-    dim=st.sampled_from([1, 3, 32]),
-    preds=st.sampled_from([1, 3, 10, 30, CELLS + 1]),
-    blocks=st.integers(0, 3),
-    offset=st.sampled_from([-1, 0, 1]),
+    dim=st.sampled_from([1, 3, 32, 257]),
+    pairs=pair_lists,
+    preds=st.lists(item_ids, max_size=6),
+    cells=st.sampled_from([1, 5, kernels.PAIR_COST_CELLS]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(dim=3, preds=10, blocks=0, offset=0, seed=0)  # R = 0
-@example(dim=32, preds=CELLS + 1, blocks=3, offset=1, seed=1)  # step 1
-def test_blocked_pair_costs_equal_one_shot_formula_bitwise(dim, preds, blocks, offset, seed):
-    # R one below, at and one above a multiple of the block step; a few
-    # items only, so some pairs repeat and some have v1 == v2 (cf == cr)
-    step = max(1, CELLS // preds)
-    rows = max(0, blocks * step + offset)
+@example(dim=3, pairs=([], []), preds=[0, 1], cells=5, seed=0)  # R = 0
+@example(dim=32, pairs=product_pairs([([0, 1], [2, 3]), ([1, 4], [2, 3])]), preds=[0, 2, 4], cells=5, seed=1)
+@example(dim=257, pairs=product_pairs([([0, 0], [1]), ([0], [1, 1, 2])]), preds=[3], cells=1, seed=2)
+def test_pair_costs_equal_left_to_right_reference_bitwise(dim, pairs, preds, cells, seed):
+    # the last two @example lists hold adjacent blocks that share a v1
+    # value: [0, 1] x [2, 3] then [1, 4] x [2, 3], and [0, 0] x [1] then
+    # [0] x [1, 1, 2].  Column scales from 1e-8 to 1e6 put squares of every
+    # size in one sum, and small PAIR_COST_CELLS split the predicates over
+    # several cdist calls
     rng = np.random.default_rng(seed)
-    vec = rng.normal(size=(6, dim))
-    v1 = rng.integers(0, 6, size=rows)
-    v2 = rng.integers(0, 6, size=rows)
-    p = rng.integers(0, 6, size=preds)
-    costs, dirs = kernels.pair_costs(vec, v1, v2, p)
-    ref_costs, ref_dirs = one_shot_pair_costs(vec, v1, v2, p)
+    vec = rng.normal(size=(ITEMS, dim)) * 10.0 ** rng.uniform(-8, 6, size=dim)
+    v1, v2 = pairs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "PAIR_COST_CELLS", cells)
+        costs, dirs = kernels.pair_costs(vec, v1, v2, preds)
+    ref_costs, ref_dirs = left_to_right_pair_costs(vec, v1, v2, preds)
     assert costs.dtype == ref_costs.dtype and dirs.dtype == ref_dirs.dtype
-    assert costs.shape == dirs.shape == (rows, preds)
+    assert costs.shape == dirs.shape == (len(v1), len(preds))
     assert costs.tobytes() == ref_costs.tobytes()
     assert dirs.tobytes() == ref_dirs.tobytes()
+
+
+@pytest.mark.parametrize(
+    "blocks, expected",
+    [
+        # one set pair: a single block, whatever its shape
+        ([([7], [9])], [(0, [7], [9])]),
+        ([([7, 8], [9, 5, 6])], [(0, [7, 8], [9, 5, 6])]),
+        # the set pairs of a condensed graph over sets A, B, C: (A, C) and
+        # (B, C) share C and follow each other, so they form one block
+        (
+            [([1, 2], [3, 4]), ([1, 2], [5, 6]), ([3, 4], [5, 6])],
+            [(0, [1, 2], [3, 4]), (4, [1, 2, 3, 4], [5, 6])],
+        ),
+        # a set pair whose second set differs in one id starts a new block
+        ([([1, 2], [3, 4]), ([5, 6], [3, 7])], [(0, [1, 2], [3, 4]), (4, [5, 6], [3, 7])]),
+        # a singleton first set: its two products are one row
+        ([([1], [3, 4]), ([1], [5, 6]), ([3, 4], [5, 6])], [(0, [1], [3, 4, 5, 6]), (4, [3, 4], [5, 6])]),
+        # equal v2 runs under new rows extend the block
+        ([([1, 2], [3, 4]), ([5], [3, 4])], [(0, [1, 2, 5], [3, 4])]),
+    ],
+)
+def test_product_blocks_find_the_set_pair_products(blocks, expected):
+    v1, v2 = (np.array(x, dtype=np.int64) for x in product_pairs(blocks))
+    found = [
+        (start, v1[start : start + rows * width : width].tolist(), v2[start : start + width].tolist())
+        for start, rows, width in kernels._product_blocks(v1, v2)
+    ]
+    assert found == expected
 
 
 def test_pair_costs_working_memory_does_not_grow_with_the_grid():
@@ -92,6 +151,28 @@ def test_pair_costs_working_memory_does_not_grow_with_the_grid():
         tracemalloc.stop()
     out_bytes = costs.nbytes + dirs.nbytes
     assert peak < 2 * out_bytes + 8 * 2**20
+
+
+def test_pair_costs_working_memory_stays_flat_on_a_large_predicate_catalog():
+    # one 4 x 4 block against 200 000 predicates: gathering them at once
+    # would take 51 MB, and each shifted cdist input 205 MB
+    rng = np.random.default_rng(6)
+    vec = rng.normal(size=(200_008, 32))
+    a, b = np.arange(4), np.arange(4, 8)
+    v1, v2 = np.repeat(a, 4), np.tile(b, 4)
+    p = np.arange(8, 200_008)
+    tracemalloc.start()
+    try:
+        costs, dirs = kernels.pair_costs(vec, v1, v2, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = costs.nbytes + dirs.nbytes
+    assert peak < 2 * out_bytes + 8 * 2**20
+    # spot-check one row against the reference
+    ref_costs, ref_dirs = left_to_right_pair_costs(vec, v1[5:6], v2[5:6], p[:50])
+    assert costs[5, :50].tobytes() == ref_costs.tobytes()
+    assert dirs[5, :50].tobytes() == ref_dirs.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 3, 12, 100])
