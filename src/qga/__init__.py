@@ -4,14 +4,12 @@ from .assembler import (
     BOUND_NAMES,
     CandidateSets,
     CondensedBipartiteGraph,
-    CrossingEdge,
     QueryGraph,
     SearchState,
     SolveStats,
     brute_force_oracle,
     build_candidate_sets,
     build_condensed_graph,
-    conflicts,
     greedy_lb,
     hungarian_min_assignment,
     km_lb,
@@ -52,7 +50,6 @@ __all__ = [
     "CandidateSets",
     "CandidateTerm",
     "CondensedBipartiteGraph",
-    "CrossingEdge",
     "EmbeddingTable",
     "KnowledgeGraph",
     "Lexicon",
@@ -72,7 +69,6 @@ __all__ = [
     "build_prediction_graph",
     "build_term_graph",
     "condensed_edge_weight",
-    "conflicts",
     "connected_components",
     "emit_sparql",
     "enumerate_maximal_cliques",

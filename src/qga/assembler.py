@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,37 +76,6 @@ def build_candidate_sets(aq) -> CandidateSets:
     return CandidateSets(vertex_sets, edge_sets)
 
 
-@dataclass(frozen=True)
-class CrossingEdge:
-    """One admissible wiring: a vertex pair (left) and an edge set (right)."""
-
-    index: int  # position in the weight-sorted edge list
-    left: int  # left node index
-    right: int  # edge set index
-    set1: int
-    vertex1: int
-    set2: int
-    vertex2: int
-    weight: float
-    best_p: int
-    direction: int
-
-
-def conflicts(e: CrossingEdge, f: CrossingEdge) -> bool:
-    """Mutual exclusion between two crossing edges of the same graph:
-    different vertices from a shared vertex set, a shared right node, or a
-    shared left node.  The pairwise reference for ``compatible_with``."""
-    if e.right == f.right:
-        return True
-    if e.left == f.left:
-        return True
-    for si, vi in ((e.set1, e.vertex1), (e.set2, e.vertex2)):
-        for sj, vj in ((f.set1, f.vertex1), (f.set2, f.vertex2)):
-            if si == sj and vi != vj:
-                return True
-    return False
-
-
 UNBOUND = -2  # slot value for a set the left node does not touch; never an item id or FREE_VAR
 
 
@@ -133,44 +101,9 @@ class CondensedBipartiteGraph:
     direction: np.ndarray  # (E,) int8
 
     @property
-    def num_edge_sets(self) -> int:
-        return self.sets.m
-
-    @property
-    def edges(self) -> CrossingEdges:
-        """The crossing edges as objects, built one at a time on access."""
-        return CrossingEdges(self)
-
-    def edge(self, index: int) -> CrossingEdge:
-        left = int(self.lefts[index])
-        set1, vertex1, set2, vertex2 = self.left_nodes[left].tolist()
-        return CrossingEdge(
-            index=index,
-            left=left,
-            right=int(self.rights[index]),
-            set1=set1,
-            vertex1=vertex1,
-            set2=set2,
-            vertex2=vertex2,
-            weight=float(self.weights[index]),
-            best_p=int(self.best_p[index]),
-            direction=int(self.direction[index]),
-        )
-
-
-class CrossingEdges(Sequence):
-    """Read-only view of a graph's crossing edges; ``len`` builds nothing."""
-
-    def __init__(self, graph: CondensedBipartiteGraph):
-        self._graph = graph
-
-    def __len__(self) -> int:
-        return len(self._graph.weights)
-
-    def __getitem__(self, index: int) -> CrossingEdge:
-        if not -len(self) <= index < len(self):
-            raise IndexError("crossing edge index out of range")
-        return self._graph.edge(index % len(self))
+    def edges(self) -> range:
+        """The crossing edge indices, in weight order."""
+        return range(len(self.weights))
 
 
 def compatible_with(graph: CondensedBipartiteGraph, e: int, rest: np.ndarray) -> np.ndarray:
@@ -495,7 +428,7 @@ def solve_qga(
     if bound not in LOWER_BOUNDS:
         raise ValueError(f"unknown bound {bound!r}, expected one of {BOUND_NAMES}")
     lb_fn = LOWER_BOUNDS[bound]
-    m = graph.num_edge_sets
+    m = graph.sets.m
     stats = SolveStats()
     if m == 0:
         return _graph_from_matched(graph, ()), stats
@@ -625,28 +558,29 @@ def brute_force_oracle(graph: CondensedBipartiteGraph, cap: int = 10_000_000):
     if m > len(pair_sets):
         return math.inf, None
 
-    edge_by_pair: dict[tuple[int, int, int, int, int], CrossingEdge] = {}
-    for e in graph.edges:
-        edge_by_pair[(e.set1, e.vertex1, e.set2, e.vertex2, e.right)] = e
+    # the left node of each vertex pair, and the edge index of each flat
+    # cell left * m + right: the inverse of the build's sort order
+    left_of = {tuple(node): left for left, node in enumerate(graph.left_nodes.tolist())}
+    edge_of = np.argsort(graph.lefts * m + graph.rights).tolist()
+    weights = graph.weights.tolist()
 
     best_cost = math.inf
-    best_edges: tuple[CrossingEdge, ...] | None = None
+    best_edges: list[int] | None = None
     for combo in itertools.product(*sets.vertex_sets):
         for assignment in itertools.permutations(pair_sets, m):
             cost = 0.0
             edges = []
             for j, (i1, i2) in enumerate(assignment):
-                e = edge_by_pair[(i1, combo[i1], i2, combo[i2], j)]
-                cost += e.weight
+                e = edge_of[left_of[(i1, combo[i1], i2, combo[i2])] * m + j]
+                cost += weights[e]
                 edges.append(e)
             if cost < best_cost:
                 best_cost = cost
-                best_edges = tuple(edges)
+                best_edges = edges
 
     if best_edges is None:
         return math.inf, None
-    matched = tuple(sorted(e.index for e in best_edges))
-    return best_cost, _graph_from_matched(graph, matched)
+    return best_cost, _graph_from_matched(graph, tuple(sorted(best_edges)))
 
 
 # -- 3-SAT reduction ---------------------------------------------------------

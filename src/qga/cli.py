@@ -143,7 +143,7 @@ def cmd_solve(args) -> int:
     for e in q.edges:
         arrow = "->" if e.direction == 0 else "<-"
         print(
-            f"edge set {e.predicate}: ({e.set1}:{e.vertex1}) {arrow} "
+            f"predicate {e.predicate}: ({e.set1}:{e.vertex1}) {arrow} "
             f"({e.set2}:{e.vertex2}) weight {e.weight:.6f}"
         )
     return EXIT_OK

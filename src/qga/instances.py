@@ -72,11 +72,16 @@ def dump_instance(sets: CandidateSets, weights: dict, path) -> None:
 
 
 def load_instance(path):
-    """Inverse of dump_instance; returns (CandidateSets, weight table)."""
+    """Inverse of dump_instance; returns (CandidateSets, weight table).
+
+    Item ids are non-negative and unique within a set; every V/E index and
+    W key appears once, and the W keys are exactly the instance's (vertex
+    pair, edge set) combinations.
+    """
     n = m = None
-    vertex_sets: dict[int, tuple[int, ...]] = {}
-    edge_sets: dict[int, tuple[int, ...]] = {}
+    sets_by_tag: dict[str, dict[int, tuple[int, ...]]] = {"V": {}, "E": {}}
     weights: dict = {}
+    weight_lines: dict = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -89,34 +94,46 @@ def load_instance(path):
                     n = int(fields[1])
                 elif tag == "m":
                     m = int(fields[1])
-                elif tag == "V":
-                    vertex_sets[int(fields[1])] = tuple(int(x) for x in fields[2:])
-                elif tag == "E":
-                    edge_sets[int(fields[1])] = tuple(int(x) for x in fields[2:])
+                elif tag in sets_by_tag:
+                    index = int(fields[1])
+                    items = tuple(int(x) for x in fields[2:])
+                    if index in sets_by_tag[tag]:
+                        raise ValueError(f"repeated {tag} index {index}")
+                    if any(x < 0 for x in items):
+                        raise ValueError(f"negative item id in {tag} {index}")
+                    if len(set(items)) != len(items):
+                        raise ValueError(f"repeated item in {tag} {index}")
+                    sets_by_tag[tag][index] = items
                 elif tag == "W":
                     i1, v1, i2, v2, j = (int(x) for x in fields[1:6])
-                    w = float(fields[6])
-                    best_p = int(fields[7])
-                    direction = int(fields[8])
-                    weights[(i1, v1, i2, v2, j)] = (w, best_p, direction)
+                    key = (i1, v1, i2, v2, j)
+                    if key in weights:
+                        raise ValueError(f"repeated W key {key}")
+                    weights[key] = (float(fields[6]), int(fields[7]), int(fields[8]))
+                    weight_lines[key] = line_no
                 else:
                     raise ValueError(f"unknown tag {tag!r}")
             except (IndexError, ValueError) as exc:
                 raise ParseError(path, line_no, str(exc))
     if n is None or m is None:
         raise ParseError(path, 0, "missing n/m header")
+    vertex_sets, edge_sets = sets_by_tag["V"], sets_by_tag["E"]
     if sorted(vertex_sets) != list(range(n)) or sorted(edge_sets) != list(range(m)):
         raise ParseError(path, 0, "vertex/edge set indices do not match n/m")
     sets = CandidateSets([vertex_sets[i] for i in range(n)], [edge_sets[j] for j in range(m)])
-    missing = [
+    expected = [
         (i1, v1, i2, v2, j)
         for i1 in range(n)
         for i2 in range(i1 + 1, n)
         for v1 in sets.vertex_sets[i1]
         for v2 in sets.vertex_sets[i2]
         for j in range(m)
-        if (i1, v1, i2, v2, j) not in weights
     ]
+    missing = [key for key in expected if key not in weights]
     if missing:
         raise ParseError(path, 0, f"weight table incomplete, e.g. missing {missing[0]}")
+    # every expected key is present and unique, so any further key is stray
+    if len(weights) > len(expected):
+        stray = min(weights.keys() - set(expected), key=weight_lines.get)
+        raise ParseError(path, weight_lines[stray], f"W key {stray} names no vertex pair and edge set")
     return sets, weights

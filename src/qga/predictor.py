@@ -17,7 +17,7 @@ assembly must have one (``UnknownItemError`` otherwise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 
 import numpy as np
 
@@ -25,9 +25,10 @@ from .assembler import FREE_VAR, AssembledEdge, QueryGraph
 from .embedding import condensed_edge_weights
 
 
-def _find(parent: list[int], x: int) -> int:
-    """Union-find root of x, halving the path on the way; callers join two
-    roots by pointing the larger at the smaller."""
+def _find(parent, x: int) -> int:
+    """Union-find root of x in ``parent`` (a list or a dict), halving the
+    path on the way; callers join two roots by pointing the larger at the
+    smaller."""
     while parent[x] != x:
         parent[x] = parent[parent[x]]
         x = parent[x]
@@ -47,29 +48,6 @@ def connected_components(q: QueryGraph) -> list[list[int]]:
     for i in range(n):
         groups.setdefault(_find(parent, i), []).append(i)
     return [sorted(groups[r]) for r in sorted(groups)]
-
-
-@dataclass
-class PredictionEdge:
-    comp1: int
-    comp2: int
-    weight: float
-    set1: int
-    vertex1: int
-    set2: int
-    vertex2: int
-    predicate: int
-    direction: int
-
-
-@dataclass
-class PredictionGraph:
-    components: list[list[int]]
-    edges: list[PredictionEdge]  # complete graph: r(r-1)/2 edges
-
-    @property
-    def r(self) -> int:
-        return len(self.components)
 
 
 def _candidate_vertices(q: QueryGraph, set_idx: int, table) -> list[int]:
@@ -98,8 +76,9 @@ def _component_vertices(q: QueryGraph, comp: list[int], table) -> list[tuple[int
     return pairs
 
 
-def _best_bridge(table, predicates: np.ndarray, left, right):
-    """Cheapest (v_i, v_j, p) over left x right x predicates.
+def _best_bridge(table, predicates: np.ndarray, left, right) -> AssembledEdge:
+    """Cheapest (v_i, v_j, p) over left x right x predicates, as a predicted
+    edge.
 
     left/right are (item, set) pair lists sorted by item id, so the pairs
     run in (v_i, v_j) order and each pair's best predicate is the first
@@ -112,7 +91,16 @@ def _best_bridge(table, predicates: np.ndarray, left, right):
     costs, best_p, dirs = condensed_edge_weights(table, v1, v2, predicates)
     k = int(np.argmin(costs))
     (vi, si), (vj, sj) = pairs[k]
-    return float(costs[k]), int(si), int(vi), int(sj), int(vj), int(best_p[k]), int(dirs[k])
+    return AssembledEdge(
+        set1=int(si),
+        vertex1=int(vi),
+        set2=int(sj),
+        vertex2=int(vj),
+        predicate=int(best_p[k]),
+        direction=int(dirs[k]),
+        weight=float(costs[k]),
+        predicted=True,
+    )
 
 
 def _vectored_predicates(table, predicates) -> np.ndarray:
@@ -124,52 +112,36 @@ def _vectored_predicates(table, predicates) -> np.ndarray:
     return preds
 
 
-def build_prediction_graph(components, table, predicates, q: QueryGraph) -> PredictionGraph:
-    """Weight every component pair with its cheapest cross-boundary triple.
+def build_prediction_graph(components, table, predicates, q: QueryGraph) -> dict:
+    """Label every component pair ``(ci, cj)``, ``ci < cj``, with its
+    cheapest cross-boundary triple: ``{(ci, cj): AssembledEdge}``.
 
     Ties break by (vertex id, vertex id, predicate id).
     """
     if len(components) < 2:
         raise ValueError("prediction needs at least two components")
     preds = _vectored_predicates(table, predicates)
-    edges: list[PredictionEdge] = []
-    for ci in range(len(components)):
-        for cj in range(ci + 1, len(components)):
-            w, s1, v1, s2, v2, p, direction = _best_bridge(
-                table,
-                preds,
-                _component_vertices(q, components[ci], table),
-                _component_vertices(q, components[cj], table),
-            )
-            edges.append(
-                PredictionEdge(
-                    comp1=ci,
-                    comp2=cj,
-                    weight=w,
-                    set1=s1,
-                    vertex1=v1,
-                    set2=s2,
-                    vertex2=v2,
-                    predicate=p,
-                    direction=direction,
-                )
-            )
-    return PredictionGraph(components=components, edges=edges)
+    ends = [_component_vertices(q, comp, table) for comp in components]
+    return {
+        (ci, cj): _best_bridge(table, preds, ends[ci], ends[cj])
+        for ci, cj in itertools.combinations(range(len(components)), 2)
+    }
 
 
-def minimum_spanning_tree(p: PredictionGraph) -> list[PredictionEdge]:
-    """Kruskal over the component graph; ties by (weight, comp1, comp2)."""
-    parent = list(range(p.r))
+def minimum_spanning_tree(edges: dict) -> list[AssembledEdge]:
+    """Kruskal over build_prediction_graph's component pairs; ties by
+    (weight, ci, cj)."""
+    parent = {c: c for pair in edges for c in pair}
     tree = []
-    for e in sorted(p.edges, key=lambda e: (e.weight, e.comp1, e.comp2)):
-        a, b = _find(parent, e.comp1), _find(parent, e.comp2)
+    for (ci, cj), e in sorted(edges.items(), key=lambda item: (item[1].weight, item[0])):
+        a, b = _find(parent, ci), _find(parent, cj)
         if a != b:
             parent[max(a, b)] = min(a, b)
             tree.append(e)
     return tree
 
 
-def mst_connect(p: PredictionGraph, q: QueryGraph, table, predicates) -> QueryGraph:
+def mst_connect(edges: dict, q: QueryGraph, table, predicates) -> QueryGraph:
     """Add the spanning tree's labels to q.predicted_edges; q ends connected.
 
     Tree edges are realized in acceptance order.  The first edge reaching a
@@ -183,40 +155,20 @@ def mst_connect(p: PredictionGraph, q: QueryGraph, table, predicates) -> QueryGr
         fixed[e.set1] = e.vertex1
         fixed[e.set2] = e.vertex2
 
-    def realize(e: PredictionEdge) -> PredictionEdge:
-        clash = (e.set1 in fixed and fixed[e.set1] != e.vertex1) or (
-            e.set2 in fixed and fixed[e.set2] != e.vertex2
-        )
-        if not clash:
-            return e
-        preds = _vectored_predicates(table, predicates)
-        left = [(fixed[e.set1], e.set1)] if e.set1 in fixed else [
-            (v, e.set1) for v in sorted(_candidate_vertices(q, e.set1, table))
-        ]
-        right = [(fixed[e.set2], e.set2)] if e.set2 in fixed else [
-            (v, e.set2) for v in sorted(_candidate_vertices(q, e.set2, table))
-        ]
-        w, s1, v1, s2, v2, pp, direction = _best_bridge(table, preds, left, right)
-        return PredictionEdge(e.comp1, e.comp2, w, s1, v1, s2, v2, pp, direction)
+    def endpoints(s: int) -> list[tuple[int, int]]:
+        if s in fixed:
+            return [(fixed[s], s)]
+        return [(v, s) for v in sorted(_candidate_vertices(q, s, table))]
 
-    for edge in minimum_spanning_tree(p):
-        edge = realize(edge)
+    for edge in minimum_spanning_tree(edges):
+        if any(fixed.get(s, v) != v for s, v in ((edge.set1, edge.vertex1), (edge.set2, edge.vertex2))):
+            preds = _vectored_predicates(table, predicates)
+            edge = _best_bridge(table, preds, endpoints(edge.set1), endpoints(edge.set2))
         fixed.setdefault(edge.set1, edge.vertex1)
         fixed.setdefault(edge.set2, edge.vertex2)
-        q.vertices[edge.set1] = fixed[edge.set1]
-        q.vertices[edge.set2] = fixed[edge.set2]
-        q.predicted_edges.append(
-            AssembledEdge(
-                set1=edge.set1,
-                vertex1=fixed[edge.set1],
-                set2=edge.set2,
-                vertex2=fixed[edge.set2],
-                predicate=edge.predicate,
-                direction=edge.direction,
-                weight=edge.weight,
-                predicted=True,
-            )
-        )
+        q.vertices[edge.set1] = edge.vertex1
+        q.vertices[edge.set2] = edge.vertex2
+        q.predicted_edges.append(edge)
     return q
 
 
@@ -225,5 +177,5 @@ def predict_missing_relations(q: QueryGraph, table, predicates) -> QueryGraph:
     components = connected_components(q)
     if len(components) < 2:
         return q
-    graph = build_prediction_graph(components, table, predicates, q)
-    return mst_connect(graph, q, table, predicates)
+    edges = build_prediction_graph(components, table, predicates, q)
+    return mst_connect(edges, q, table, predicates)

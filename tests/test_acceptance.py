@@ -97,7 +97,7 @@ def test_criterion_2_lower_bound_admissibility(solver_runs):
     audited = 0
     violations = 0
     for graph, _, _, states in runs:
-        m = graph.num_edge_sets
+        m = graph.sets.m
         for state in states:
             opt = optimal_completion_cost(graph, state, m)
             tol = 1e-9 * max(1.0, abs(opt)) if math.isfinite(opt) else 0.0
@@ -268,7 +268,7 @@ def test_criterion_7_algorithmic_sub_oracles(tmp_path):
             table = table_from(rng.normal(size=(r + 3, 3)))
             q = component_graph(list(range(r)), [])
             pg = build_prediction_graph(connected_components(q), table, [r, r + 1, r + 2], q)
-            wmat = {(e.comp1, e.comp2): e.weight for e in pg.edges}
+            wmat = {pair: e.weight for pair, e in pg.items()}
             got = sum(e.weight for e in minimum_spanning_tree(pg))
             best = min(sum(wmat[(min(a, b), max(a, b))] for a, b in t) for t in prufer_trees(r))
             mst_ok += abs(got - best) <= 1e-9

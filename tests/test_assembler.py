@@ -13,7 +13,6 @@ from qga.assembler import (
     build_candidate_sets,
     build_condensed_graph,
     compatible_with,
-    conflicts,
     greedy_lb,
     hungarian_min_assignment,
     km_lb,
@@ -23,7 +22,7 @@ from qga.assembler import (
     solve_qga,
     table_cost_source,
 )
-from qga.errors import ResourceLimitError
+from qga.errors import ParseError, ResourceLimitError
 from qga.instances import build_random_graph, dump_instance, load_instance, random_instance
 from qga.lexicon import CandidateTerm
 from qga.sat import random_3cnf, truth_table_satisfiable
@@ -46,6 +45,22 @@ class FakeAQ:
 def uniform_graph(seed, n, m, k, exact_sizes=False):
     rng = np.random.default_rng(seed)
     return build_random_graph(rng, n, m, k, exact_sizes=exact_sizes)
+
+
+def wiring(graph, e):
+    """(set1, vertex1, set2, vertex2) of crossing edge ``e``'s left node."""
+    return tuple(graph.left_nodes[graph.lefts[e]].tolist())
+
+
+def conflicts(graph, e, f):
+    """Mutual exclusion between crossing edges ``e`` and ``f``: a shared
+    right node, a shared left node, or different vertices from a shared
+    vertex set.  The pairwise reference for ``compatible_with``."""
+    if graph.rights[e] == graph.rights[f] or graph.lefts[e] == graph.lefts[f]:
+        return True
+    s1, v1, s2, v2 = wiring(graph, e)
+    t1, u1, t2, u2 = wiring(graph, f)
+    return any(si == sj and vi != vj for si, vi in ((s1, v1), (s2, v2)) for sj, vj in ((t1, u1), (t2, u2)))
 
 
 def make_state(graph, matched=()):
@@ -141,9 +156,7 @@ def test_size_bounds_on_random_instances():
         assert len(g.left_nodes) <= k * k * math.comb(n, 2)
         assert len(g.edges) == m * len(g.left_nodes)
         assert len(g.edges) <= m * n * n * k * k
-        assert all(
-            g.edges[i].weight <= g.edges[i + 1].weight for i in range(len(g.edges) - 1)
-        )
+        assert np.all(np.diff(g.weights) >= 0)
 
 
 def test_requires_two_vertex_sets_for_edges():
@@ -159,37 +172,31 @@ def test_conflict_same_set_different_vertices():
     g = uniform_graph(1, 3, 2, 2)
     sameset = [
         (e, f)
-        for e in g.edges
-        for f in g.edges
-        if e.index < f.index
-        and e.set1 == f.set1
-        and e.vertex1 != f.vertex1
+        for e, f in itertools.combinations(g.edges, 2)
+        if wiring(g, e)[0] == wiring(g, f)[0] and wiring(g, e)[1] != wiring(g, f)[1]
     ]
     assert sameset
     for e, f in sameset:
-        assert conflicts(e, f)
+        assert conflicts(g, e, f)
 
 
 def test_no_conflict_disjoint_sets_and_rights():
     g = uniform_graph(2, 4, 2, 1)
     pairs = [
         (e, f)
-        for e in g.edges
-        for f in g.edges
-        if e.index < f.index
-        and e.right != f.right
-        and {e.set1, e.set2}.isdisjoint({f.set1, f.set2})
+        for e, f in itertools.combinations(g.edges, 2)
+        if g.rights[e] != g.rights[f] and set(wiring(g, e)[::2]).isdisjoint(wiring(g, f)[::2])
     ]
     assert pairs
     for e, f in pairs:
-        assert not conflicts(e, f)
+        assert not conflicts(g, e, f)
 
 
 def test_conflict_same_left_different_right():
     g = uniform_graph(3, 2, 2, 1)
-    e = [x for x in g.edges if x.right == 0][0]
-    f = [x for x in g.edges if x.right == 1 and x.left == e.left][0]
-    assert conflicts(e, f)
+    e = [x for x in g.edges if g.rights[x] == 0][0]
+    f = [x for x in g.edges if g.rights[x] == 1 and g.lefts[x] == g.lefts[e]][0]
+    assert conflicts(g, e, f)
 
 
 def test_compatible_with_matches_pairwise_function():
@@ -197,8 +204,8 @@ def test_compatible_with_matches_pairwise_function():
         g = uniform_graph(seed, n, m, k)
         everything = np.arange(len(g.edges), dtype=np.int64)
         for e in g.edges:
-            mask = compatible_with(g, e.index, everything)
-            assert mask.tolist() == [not conflicts(e, f) for f in g.edges]
+            mask = compatible_with(g, e, everything)
+            assert mask.tolist() == [not conflicts(g, e, f) for f in g.edges]
 
 
 # -- lower bounds ----------------------------------------------------------------
@@ -228,17 +235,18 @@ def test_naive_lb_sum_of_smallest():
 def test_naive_lb_complete_state_is_cost():
     g = uniform_graph(5, 3, 2, 2)
     q, _ = solve_qga(g, "naive")
-    state = make_state(g, tuple(sorted(e.index for e in _edges_of(g, q))))
+    state = make_state(g, tuple(sorted(_edges_of(g, q))))
     assert naive_lb(state, 2) == state.cost
 
 
 def _edges_of(graph, q):
+    """The crossing edge index of each of q's assembled edges."""
     out = []
     for e in q.edges:
         matches = [
             c
             for c in graph.edges
-            if (c.set1, c.vertex1, c.set2, c.vertex2, c.right)
+            if wiring(graph, c) + (graph.rights[c],)
             == (e.set1, e.vertex1, e.set2, e.vertex2, _right_of(graph, e))
         ]
         out.append(matches[0])
@@ -279,7 +287,7 @@ def test_km_dominates_naive_on_sampled_states():
         states = []
         solve_qga(g, "naive", state_hook=states.append)
         for s in states:
-            assert km_lb(s, g.num_edge_sets) >= naive_lb(s, g.num_edge_sets) - 1e-12
+            assert km_lb(s, g.sets.m) >= naive_lb(s, g.sets.m) - 1e-12
 
 
 def test_greedy_lb_keeps_cheapest_per_relation():
@@ -294,9 +302,7 @@ def test_greedy_lb_keeps_cheapest_per_relation():
         (1, 2, 2, 3, 1): (9.5, 9, 0),
     }
     g = build_condensed_graph(sets, table_cost_source(weights))
-    sub = np.array(
-        [e.index for e in g.edges if e.weight in (1.0, 2.0, 3.0)], dtype=np.int64
-    )
+    sub = np.flatnonzero(np.isin(g.weights, (1.0, 2.0, 3.0)))
     state = SearchState(graph=g, matched=(), compatible=sub, cost=0.0)
     assert greedy_lb(state, 2) == pytest.approx(1.0 + 2.0)
 
@@ -310,9 +316,7 @@ def test_greedy_lb_equals_naive_when_rights_disjoint():
 
 def test_greedy_lb_dead_when_some_relation_uncoverable():
     g = lb_fixture_graph()
-    only_right0 = np.array(
-        [e.index for e in g.edges if e.right == 0], dtype=np.int64
-    )
+    only_right0 = np.flatnonzero(g.rights == 0)
     state = SearchState(graph=g, matched=(), compatible=only_right0, cost=0.0)
     assert greedy_lb(state, 2) == math.inf
 
@@ -328,10 +332,10 @@ def test_all_bounds_admissible_on_sampled_states():
         states = []
         solve_qga(g, "greedy", state_hook=states.append)
         for s in states:
-            opt = optimal_completion_cost(g, s, g.num_edge_sets)
+            opt = optimal_completion_cost(g, s, g.sets.m)
             tol = 1e-9 * max(1.0, abs(opt)) if math.isfinite(opt) else 0.0
             for lb_fn in (naive_lb, km_lb, greedy_lb):
-                assert lb_fn(s, g.num_edge_sets) <= opt + tol
+                assert lb_fn(s, g.sets.m) <= opt + tol
             audited += 1
     assert audited > 100
 
@@ -449,7 +453,7 @@ def test_returned_matching_is_conflict_free():
             continue
         realized = _edges_of(g, q)
         for e, f in itertools.combinations(realized, 2):
-            assert not conflicts(e, f)
+            assert not conflicts(g, e, f)
 
 
 def test_relabeling_preserves_optimal_cost():
@@ -556,3 +560,25 @@ def test_instance_dump_load_round_trip(tmp_path):
     g1 = build_condensed_graph(sets, table_cost_source(weights))
     g2 = build_condensed_graph(sets2, table_cost_source(weights2))
     assert solve_qga(g1)[0].total_cost == solve_qga(g2)[0].total_cost
+
+
+VALID_DUMP = "n 2\nm 1\nV 0 10\nV 1 11\nE 0 20\nW 0 10 1 11 0 0.5 20 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        (VALID_DUMP.replace("V 0 10\n", "V 0 10 -2\n"), 3, "negative item id"),
+        (VALID_DUMP.replace("V 0 10\n", "V 0 10 10\n"), 3, "repeated item"),
+        (VALID_DUMP + "V 1 12\n", 7, "repeated V index"),
+        (VALID_DUMP + "W 0 10 1 11 0 0.1 20 0\n", 7, "repeated W key"),
+        (VALID_DUMP + "W 0 10 1 12 0 0.1 20 0\n", 7, "names no vertex pair"),
+    ],
+    ids=["negative-item", "repeated-item", "repeated-index", "repeated-w-key", "stray-w-key"],
+)
+def test_load_instance_rejects(tmp_path, text, line_no, message):
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as info:
+        load_instance(path)
+    assert info.value.line_no == line_no

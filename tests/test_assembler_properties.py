@@ -16,7 +16,6 @@ from qga.assembler import (
     CandidateSets,
     brute_force_oracle,
     build_condensed_graph,
-    conflicts,
     embedding_cost_source,
     solve_qga,
     table_cost_source,
@@ -24,6 +23,8 @@ from qga.assembler import (
 from qga.embedding import DIR_FORWARD, EmbeddingTable, condensed_edge_weight
 from qga.errors import UnknownItemError
 from qga.instances import build_random_graph
+
+from test_assembler import conflicts, wiring
 
 VERTICES = range(0, 8)
 PREDICATES = range(8, 12)
@@ -168,23 +169,10 @@ def test_lazy_solver_matches_oracle_under_every_bound(case):
             continue
         assert q.total_cost == pytest.approx(oracle_cost, abs=1e-12)
         assert len(q.edges) == sets.m
-        chosen = [e for e in graph.edges if any(
-            (e.set1, e.vertex1, e.set2, e.vertex2, e.best_p) == (a.set1, a.vertex1, a.set2, a.vertex2, a.predicate)
-            for a in q.edges
-        )]
+        assembled = {(a.set1, a.vertex1, a.set2, a.vertex2, a.predicate) for a in q.edges}
+        chosen = [e for e in graph.edges if wiring(graph, e) + (int(graph.best_p[e]),) in assembled]
         assert len(chosen) == sets.m
-        assert not any(conflicts(e, f) for e, f in itertools.combinations(chosen, 2))
-
-
-def test_edge_view_len_builds_no_edges(monkeypatch):
-    graph = build_random_graph(np.random.default_rng(0), 3, 2, 3)
-    expected = len(graph.weights)
-
-    def fail(index):
-        raise AssertionError("len() must not build a CrossingEdge")
-
-    monkeypatch.setattr(graph, "edge", fail)
-    assert len(graph.edges) == expected
+        assert not any(conflicts(graph, e, f) for e, f in itertools.combinations(chosen, 2))
 
 
 def test_graph_memory_is_linear_in_edges():

@@ -93,6 +93,20 @@ def test_solve_dumped_instance(tmp_path, capsys):
     assert code == 0
     assert "optimal cost" in captured
     assert "states pushed" in captured
+    edge_lines = [line for line in captured.splitlines() if line.startswith("predicate ")]
+    assert len(edge_lines) == sets.m
+    found = re.fullmatch(r"predicate (\d+): \((\d+):(\d+)\) (->|<-) \((\d+):(\d+)\) weight \S+", edge_lines[0])
+    p, s1, v1, _, s2, v2 = found.groups()
+    assert any(int(p) in es for es in sets.edge_sets)
+    assert int(v1) in sets.vertex_sets[int(s1)] and int(v2) in sets.vertex_sets[int(s2)]
+
+
+def test_solve_rejects_a_repeated_vertex(tmp_path, capsys):
+    # two relations wired over one vertex pair would read as feasible
+    path = tmp_path / "inst.txt"
+    path.write_text("n 2\nm 2\nV 0 10 10\nV 1 11\nE 0 20\nE 1 21\n")
+    assert main(["solve", "--instance", str(path)]) == 1
+    assert "repeated item" in capsys.readouterr().err
 
 
 def test_solve_infeasible_exit_code(tmp_path, capsys):

@@ -234,7 +234,7 @@ def test_bench_cross_bound_agreement_and_trend():
     evaluations = {(r.k, r.instance, r.bound): r.bound_evaluations for r in report.rows}
     lazy_total = eager_total = 0
     for k, idx, graph in bench_instances(30, k_values=(3, 5), seed=11):
-        m = graph.num_edge_sets
+        m = graph.sets.m
         for bound in BOUND_NAMES:
             popped = []
             solve_qga(graph, bound=bound, state_hook=popped.append)

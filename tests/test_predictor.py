@@ -69,19 +69,19 @@ def test_two_singletons_argmin_predicate():
     table = table_from([[0, 0], [1, 0], [1, 0], [5, 0]])
     q = graph([0, 1], [])
     pg = build_prediction_graph([[0], [1]], table, [2, 3], q)
-    assert len(pg.edges) == 1
-    e = pg.edges[0]
+    assert list(pg) == [(0, 1)]
+    e = pg[(0, 1)]
     assert e.predicate == 2
     assert e.weight == 0.0
     assert (e.vertex1, e.vertex2) == (0, 1)
+    assert e.predicted
 
 
 def test_three_components_three_edges():
     table = table_from(np.random.default_rng(0).normal(size=(5, 3)))
     q = graph([0, 1, 2], [])
     pg = build_prediction_graph([[0], [1], [2]], table, [3, 4], q)
-    assert len(pg.edges) == 3
-    assert pg.r == 3
+    assert list(pg) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_prediction_weight_matches_exhaustive_scan():
@@ -92,7 +92,7 @@ def test_prediction_weight_matches_exhaustive_scan():
     assert comps == [[0, 1], [2, 3]]
     preds = [8, 9, 10, 11]
     pg = build_prediction_graph(comps, table, preds, q)
-    e = pg.edges[0]
+    e = pg[(0, 1)]
     best = min(
         (triple_assembly_cost(table, vi, vj, p)[0], vi, vj, p)
         for vi in (0, 1)
@@ -104,19 +104,20 @@ def test_prediction_weight_matches_exhaustive_scan():
 
 
 @st.composite
-def tied_prediction_inputs(draw):
-    """Unpinned candidate sets over 8 vertices, some predicates among 4, and
-    coarse integer vectors, so many bridge costs tie exactly; sets 0 and 1
-    may be pinned together by an assembled edge."""
+def tied_prediction_inputs(draw, min_sets=2):
+    """min_sets to min_sets + 2 unpinned candidate sets over 8 vertices, some
+    predicates among 4, and coarse integer vectors, so many bridge costs tie
+    exactly; sets 0 and 1 may be pinned together when that still leaves
+    min_sets components."""
     dim = draw(st.integers(1, 3))
     coords = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
     table = table_from(draw(st.lists(coords, min_size=12, max_size=12)))
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(min_sets, min_sets + 2))
     vertex_sets = [
         tuple(draw(st.lists(st.sampled_from(range(8)), min_size=1, max_size=3, unique=True))) for _ in range(n)
     ]
     vertices = [s[0] for s in vertex_sets]
-    edges = [edge(0, 1, v1=vertices[0], v2=vertices[1])] if n > 2 and draw(st.booleans()) else []
+    edges = [edge(0, 1, v1=vertices[0], v2=vertices[1])] if n > min_sets and draw(st.booleans()) else []
     preds = draw(st.lists(st.sampled_from(range(8, 12)), min_size=1, max_size=4, unique=True))
     q = QueryGraph(vertices=vertices, edges=edges, total_cost=0.0, sets=CandidateSets(vertex_sets, []))
     return table, q, preds
@@ -136,16 +137,38 @@ def test_prediction_tie_break_matches_exhaustive_scan(inputs):
 
     comps = connected_components(q)
     pg = build_prediction_graph(comps, table, preds, q)
-    assert len(pg.edges) == len(comps) * (len(comps) - 1) // 2
-    for e in pg.edges:
+    assert list(pg) == list(itertools.combinations(range(len(comps)), 2))
+    for (ci, cj), e in pg.items():
         best = min(
             (triple_assembly_cost(table, vi, vj, p)[0], vi, si, vj, sj, p)
-            for vi, si in endpoints(comps[e.comp1])
-            for vj, sj in endpoints(comps[e.comp2])
+            for vi, si in endpoints(comps[ci])
+            for vj, sj in endpoints(comps[cj])
             for p in preds
         )
         assert (e.weight, e.vertex1, e.set1, e.vertex2, e.set2, e.predicate) == best
         assert e.direction == triple_assembly_cost(table, e.vertex1, e.vertex2, e.predicate)[1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tied_prediction_inputs(min_sets=3))
+def test_mst_connect_binds_each_set_once(inputs):
+    """r - 1 predicted edges connect q; every set keeps one vertex across
+    assembled and predicted edges, re-costed tree edges included; and each
+    predicted edge is labeled with its own triple's cost and direction."""
+    table, q, preds = inputs
+    r = len(connected_components(q))
+    assert r >= 3
+    out = predict_missing_relations(q, table, preds)
+    assert len(out.predicted_edges) == r - 1
+    assert connected_components(out) == [list(range(len(out.vertices)))]
+    bound = {}
+    for e in out.all_edges:
+        for s, v in ((e.set1, e.vertex1), (e.set2, e.vertex2)):
+            assert bound.setdefault(s, v) == v
+            assert out.vertices[s] == v
+    for e in out.predicted_edges:
+        assert e.predicted
+        assert (e.weight, e.direction) == triple_assembly_cost(table, e.vertex1, e.vertex2, e.predicate)
 
 
 def test_free_variable_vertices_skipped():
@@ -153,7 +176,7 @@ def test_free_variable_vertices_skipped():
     q = graph([0, FREE_VAR, 1], [edge(0, 1, v1=0, v2=FREE_VAR)])
     comps = connected_components(q)
     pg = build_prediction_graph(comps, table, [2], q)
-    assert pg.edges[0].vertex1 == 0  # never the free variable
+    assert pg[(0, 1)].vertex1 == 0  # never the free variable
 
 
 # -- spanning tree ---------------------------------------------------------------
@@ -191,9 +214,7 @@ def test_mst_weight_matches_exhaustive_tree_enumeration():
             q = graph(list(range(r)), [])
             comps = connected_components(q)
             pg = build_prediction_graph(comps, table, [r, r + 1, r + 2], q)
-            wmat = {}
-            for e in pg.edges:
-                wmat[(e.comp1, e.comp2)] = e.weight
+            wmat = {pair: e.weight for pair, e in pg.items()}
             tree = minimum_spanning_tree(pg)
             got = sum(e.weight for e in tree)
             best = min(
