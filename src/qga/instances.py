@@ -13,6 +13,8 @@ with one W line per (vertex pair, edge set) combination.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .assembler import CandidateSets, build_condensed_graph, table_cost_source
@@ -76,7 +78,8 @@ def load_instance(path):
 
     Item ids are non-negative and unique within a set; every V/E index and
     W key appears once, and the W keys are exactly the instance's (vertex
-    pair, edge set) combinations.
+    pair, edge set) combinations.  A W line's weight is finite, its
+    predicate belongs to its edge set and its direction is 0 or 1.
     """
     n = m = None
     sets_by_tag: dict[str, dict[int, tuple[int, ...]]] = {"V": {}, "E": {}}
@@ -109,7 +112,12 @@ def load_instance(path):
                     key = (i1, v1, i2, v2, j)
                     if key in weights:
                         raise ValueError(f"repeated W key {key}")
-                    weights[key] = (float(fields[6]), int(fields[7]), int(fields[8]))
+                    weight, best_p, direction = float(fields[6]), int(fields[7]), int(fields[8])
+                    if not math.isfinite(weight):
+                        raise ValueError(f"non-finite weight {fields[6]}")
+                    if direction not in (0, 1):
+                        raise ValueError(f"direction {direction} is neither 0 nor 1")
+                    weights[key] = (weight, best_p, direction)
                     weight_lines[key] = line_no
                 else:
                     raise ValueError(f"unknown tag {tag!r}")
@@ -136,4 +144,7 @@ def load_instance(path):
     if len(weights) > len(expected):
         stray = min(weights.keys() - set(expected), key=weight_lines.get)
         raise ParseError(path, weight_lines[stray], f"W key {stray} names no vertex pair and edge set")
+    for key, (_, best_p, _) in weights.items():  # in line order
+        if best_p not in sets.edge_sets[key[4]]:
+            raise ParseError(path, weight_lines[key], f"predicate {best_p} is not in edge set {key[4]}")
     return sets, weights

@@ -137,7 +137,7 @@ def answer_keywords(tokens, kg, lexicon, table, config: PipelineConfig | None = 
             cand.assembled_cost = q.total_cost
             cand.predicted_cost = q.predicted_cost
             cand.normalized_cost = _normalized_cost(q)
-        except (QgaError, ValueError) as exc:  # a rejected input, reported per candidate
+        except QgaError as exc:  # a rejected input, reported per candidate
             cand.infeasible_reason = f"{type(exc).__name__}: {exc}"
 
     viable = [(i, c) for i, c in enumerate(candidates) if c.query_graph is not None]

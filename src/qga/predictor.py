@@ -23,6 +23,7 @@ import numpy as np
 
 from .assembler import FREE_VAR, AssembledEdge, QueryGraph
 from .embedding import condensed_edge_weights
+from .errors import UnknownItemError
 
 
 def _find(parent, x: int) -> int:
@@ -50,30 +51,26 @@ def connected_components(q: QueryGraph) -> list[list[int]]:
     return [sorted(groups[r]) for r in sorted(groups)]
 
 
-def _candidate_vertices(q: QueryGraph, set_idx: int, table) -> list[int]:
-    """Vertices prediction may use for one set: the chosen vertex when an
-    assembled edge pinned it, otherwise the candidates that have a vector."""
-    chosen = q.vertices[set_idx]
-    constrained = any(set_idx in (e.set1, e.set2) for e in q.edges)
-    if constrained or q.sets is None:
-        if chosen == FREE_VAR:
+def _pinned(q: QueryGraph) -> dict[int, int]:
+    """Set index -> vertex for every set an assembled edge touches; every
+    set when q carries no candidate sets to choose from."""
+    if q.sets is None:
+        return dict(enumerate(q.vertices))
+    return {s: q.vertices[s] for e in q.edges for s in (e.set1, e.set2)}
+
+
+def _endpoints(q: QueryGraph, s: int, fixed: dict, table) -> list[tuple[int, int]]:
+    """(item id, set index) pairs prediction may bind set ``s`` to: its
+    fixed vertex, or else its candidates that have a vector, sorted by id.
+    A free variable gives none."""
+    if s in fixed:
+        if fixed[s] == FREE_VAR:
             return []
-        table.require(chosen)
-        return [chosen]
+        table.require(fixed[s])
+        return [(fixed[s], s)]
     has, size = table.has, len(table.has)
     # the range test also drops FREE_VAR, which is negative
-    return [v for v in q.sets.vertex_sets[set_idx] if 0 <= v < size and has[v]]
-
-
-def _component_vertices(q: QueryGraph, comp: list[int], table) -> list[tuple[int, int]]:
-    """(item id, set index) pairs usable as prediction endpoints, sorted by
-    item id for deterministic tie breaks.  Free variables are skipped."""
-    pairs = sorted(
-        (v, i) for i in comp for v in _candidate_vertices(q, i, table)
-    )
-    if not pairs:
-        raise ValueError("component has no concrete vertex with a vector to predict from")
-    return pairs
+    return sorted((v, s) for v in q.sets.vertex_sets[s] if 0 <= v < size and has[v])
 
 
 def _best_bridge(table, predicates: np.ndarray, left, right) -> AssembledEdge:
@@ -108,7 +105,7 @@ def _vectored_predicates(table, predicates) -> np.ndarray:
     preds = np.array(sorted(predicates), dtype=np.int64)
     preds = preds[table.has_vector(preds)]
     if len(preds) == 0:
-        raise ValueError("no predicate in the catalog has a vector")
+        raise UnknownItemError("no predicate in the catalog has a vector")
     return preds
 
 
@@ -121,7 +118,10 @@ def build_prediction_graph(components, table, predicates, q: QueryGraph) -> dict
     if len(components) < 2:
         raise ValueError("prediction needs at least two components")
     preds = _vectored_predicates(table, predicates)
-    ends = [_component_vertices(q, comp, table) for comp in components]
+    fixed = _pinned(q)
+    ends = [sorted(pair for s in comp for pair in _endpoints(q, s, fixed, table)) for comp in components]
+    if not all(ends):
+        raise UnknownItemError("component has no concrete vertex with a vector to predict from")
     return {
         (ci, cj): _best_bridge(table, preds, ends[ci], ends[cj])
         for ci, cj in itertools.combinations(range(len(components)), 2)
@@ -150,20 +150,12 @@ def mst_connect(edges: dict, q: QueryGraph, table, predicates) -> QueryGraph:
     labels are recomputed with the fixed endpoints when the precomputed
     label disagrees (possible only when a component bridges two others).
     """
-    fixed: dict[int, int] = {}
-    for e in q.edges:
-        fixed[e.set1] = e.vertex1
-        fixed[e.set2] = e.vertex2
-
-    def endpoints(s: int) -> list[tuple[int, int]]:
-        if s in fixed:
-            return [(fixed[s], s)]
-        return [(v, s) for v in sorted(_candidate_vertices(q, s, table))]
-
+    fixed = _pinned(q)
     for edge in minimum_spanning_tree(edges):
         if any(fixed.get(s, v) != v for s, v in ((edge.set1, edge.vertex1), (edge.set2, edge.vertex2))):
             preds = _vectored_predicates(table, predicates)
-            edge = _best_bridge(table, preds, endpoints(edge.set1), endpoints(edge.set2))
+            ends = [_endpoints(q, s, fixed, table) for s in (edge.set1, edge.set2)]
+            edge = _best_bridge(table, preds, *ends)
         fixed.setdefault(edge.set1, edge.vertex1)
         fixed.setdefault(edge.set2, edge.vertex2)
         q.vertices[edge.set1] = edge.vertex1

@@ -38,128 +38,77 @@ def emit_sparql(q: QueryGraph, kg: KnowledgeGraph) -> StructuredQuery:
     if not q.vertices:
         raise ValueError("empty query graph")
     terms: list = []
-    patterns: list[tuple] = []
-    flags: list[bool] = []
+    rows: list[tuple[tuple, bool]] = []  # (pattern, predicted)
     select_vars: list[str] = []
     for i, item in enumerate(q.vertices):
-        if item == FREE_VAR:
-            v = Var(f"v{i}")
-            terms.append(v)
-            select_vars.append(v.name)
-        elif kg.kind_of(item) == KIND_CLASS:
-            v = Var(f"v{i}")
-            terms.append(v)
-            select_vars.append(v.name)
-            patterns.append((v, kg.type_predicate, kg.iri_of(item)))
-            flags.append(False)
-        else:
-            terms.append(kg.iri_of(item))
+        is_class = item != FREE_VAR and kg.kind_of(item) == KIND_CLASS
+        term = Var(f"v{i}") if item == FREE_VAR or is_class else kg.iri_of(item)
+        terms.append(term)
+        if isinstance(term, Var):
+            select_vars.append(term.name)
+        if is_class:
+            rows.append(((term, kg.type_predicate, kg.iri_of(item)), False))
 
     for e in q.all_edges:
         s_term, o_term = terms[e.set1], terms[e.set2]
         if e.direction != DIR_FORWARD:
             s_term, o_term = o_term, s_term
-        patterns.append((s_term, kg.iri_of(e.predicate), o_term))
-        flags.append(e.predicted)
+        rows.append(((s_term, kg.iri_of(e.predicate), o_term), e.predicted))
 
-    lines = []
-    body = []
-    for pat, predicted in zip(patterns, flags):
-        row = "  %s %s %s ." % tuple(str(t) for t in pat)
-        if predicted:
-            row += "  # predicted"
-        body.append(row)
-
-    entity_answer = None
-    if select_vars:
-        lines.append("SELECT " + " ".join("?" + v for v in select_vars) + " WHERE {")
-        lines.extend(body)
-        lines.append("}")
-        is_ask = False
+    is_ask = not select_vars
+    entity_answer = kg.iri_of(q.vertices[0]) if is_ask and not rows else None
+    if not is_ask:
+        head = "SELECT " + " ".join("?" + v for v in select_vars) + " WHERE {"
+    elif entity_answer is not None:
+        head = "ASK {  # entity: %s" % entity_answer
     else:
-        if not patterns:
-            entity_answer = kg.iri_of(q.vertices[0])
-            lines.append("ASK {  # entity: %s" % entity_answer)
-        else:
-            lines.append("ASK {")
-        lines.extend(body)
-        lines.append("}")
-        is_ask = True
-
+        head = "ASK {"
+    body = [
+        "  %s %s %s ." % tuple(map(str, pat)) + ("  # predicted" if predicted else "")
+        for pat, predicted in rows
+    ]
     return StructuredQuery(
         select_vars=select_vars,
-        patterns=patterns,
-        text="\n".join(lines) + "\n",
+        patterns=[pat for pat, _ in rows],
+        text="\n".join([head, *body, "}"]) + "\n",
         is_ask=is_ask,
         entity_answer=entity_answer,
     )
-
-
-def _resolve(kg: KnowledgeGraph, term):
-    if isinstance(term, Var):
-        return term
-    return kg.id_of(term)  # raises UnknownItemError on unknown IRIs
 
 
 def evaluate_bgp(sq: StructuredQuery, kg: KnowledgeGraph) -> list[dict[str, int]]:
     """All variable bindings satisfying every pattern, deterministically
     ordered.
 
-    Backtracking join, most selective pattern first.  Rows are projected to
-    ``select_vars`` (full bindings for queries without a projection), sorted
-    by bound ids.  For ASK queries the result is one empty row when the
-    pattern set is satisfiable, none otherwise.
+    A breadth-first join, most selective pattern first (ties in pattern
+    order): each pattern extends every binding found so far by the triples
+    it matches, so the join holds one level of partial bindings instead of
+    a recursion stack.  Rows are projected to ``select_vars``, deduplicated
+    and sorted by bound ids.  A query with no projection (an ASK) gives one
+    empty row when the pattern set is satisfiable, none otherwise.
     """
-    resolved = [tuple(_resolve(kg, t) for t in pat) for pat in sq.patterns]
+    # id_of raises UnknownItemError on an unknown IRI
+    resolved = [tuple(t if isinstance(t, Var) else kg.id_of(t) for t in pat) for pat in sq.patterns]
     if not resolved:
         return [{}]
 
     def selectivity(pat):
-        args = [t if not isinstance(t, Var) else WILDCARD for t in pat]
-        return kg.count_pattern(*args)
+        return kg.count_pattern(*(WILDCARD if isinstance(t, Var) else t for t in pat))
 
-    order = sorted(range(len(resolved)), key=lambda i: (selectivity(resolved[i]), i))
-    ordered = [resolved[i] for i in order]
+    bindings: list[dict[str, int]] = [{}]
+    for pat in sorted(resolved, key=selectivity):
+        extended = []
+        for binding in bindings:
+            args = [binding.get(t.name, WILDCARD) if isinstance(t, Var) else t for t in pat]
+            for triple in kg.match_pattern(*args):
+                new = dict(binding)
+                # setdefault binds a new variable and checks a repeated one
+                if all(new.setdefault(t.name, v) == v for t, v in zip(pat, triple) if isinstance(t, Var)):
+                    extended.append(new)
+        bindings = extended
 
-    rows: set[tuple] = set()
-    binding: dict[str, int] = {}
-
-    def match(pat):
-        args = []
-        for t in pat:
-            if isinstance(t, Var):
-                args.append(binding.get(t.name, WILDCARD))
-            else:
-                args.append(t)
-        for s, p, o in kg.match_pattern(*args):
-            got = {}
-            ok = True
-            for t, val in zip(pat, (s, p, o)):
-                if isinstance(t, Var) and t.name not in binding:
-                    if t.name in got and got[t.name] != val:
-                        ok = False
-                        break
-                    got[t.name] = val
-            if ok:
-                yield got
-
-    def walk(i):
-        if i == len(ordered):
-            if sq.select_vars:
-                rows.add(tuple(binding[v] for v in sq.select_vars))
-            else:
-                rows.add(())
-            return
-        for got in match(ordered[i]):
-            binding.update(got)
-            walk(i + 1)
-            for k in got:
-                del binding[k]
-
-    walk(0)
-    if sq.select_vars:
-        return [dict(zip(sq.select_vars, row)) for row in sorted(rows)]
-    return [{} for _ in rows]
+    rows = {tuple(b[v] for v in sq.select_vars) for b in bindings}
+    return [dict(zip(sq.select_vars, row)) for row in sorted(rows)]
 
 
 def bindings_to_tsv(sq: StructuredQuery, bindings, kg: KnowledgeGraph) -> str:

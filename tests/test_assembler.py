@@ -573,8 +573,22 @@ VALID_DUMP = "n 2\nm 1\nV 0 10\nV 1 11\nE 0 20\nW 0 10 1 11 0 0.5 20 0\n"
         (VALID_DUMP + "V 1 12\n", 7, "repeated V index"),
         (VALID_DUMP + "W 0 10 1 11 0 0.1 20 0\n", 7, "repeated W key"),
         (VALID_DUMP + "W 0 10 1 12 0 0.1 20 0\n", 7, "names no vertex pair"),
+        (VALID_DUMP.replace(" 0.5 20 0\n", " 0.5 99 0\n"), 6, "predicate 99 is not in edge set 0"),
+        (VALID_DUMP.replace(" 0.5 20 0\n", " 0.5 20 7\n"), 6, "direction 7"),
+        (VALID_DUMP.replace(" 0.5 20 0\n", " nan 20 0\n"), 6, "non-finite weight"),
+        (VALID_DUMP.replace(" 0.5 20 0\n", " inf 20 0\n"), 6, "non-finite weight"),
     ],
-    ids=["negative-item", "repeated-item", "repeated-index", "repeated-w-key", "stray-w-key"],
+    ids=[
+        "negative-item",
+        "repeated-item",
+        "repeated-index",
+        "repeated-w-key",
+        "stray-w-key",
+        "foreign-predicate",
+        "bad-direction",
+        "nan-weight",
+        "inf-weight",
+    ],
 )
 def test_load_instance_rejects(tmp_path, text, line_no, message):
     path = tmp_path / "instance.txt"

@@ -255,16 +255,18 @@ def test_bench_tsv_shape():
 
 
 def test_programming_error_in_cost_source_propagates(monkeypatch, mini_kg, mini_lexicon, mini_table):
-    """Only rejected inputs (QgaError, ValueError) mark a candidate
-    infeasible; a bug in the build must surface, not become exit 3."""
-
-    def broken_cost_source(table):
-        def source(set1, v1, set2, v2, j, predicates):
-            raise TypeError("cost source bug")
-
-        return source
-
-    monkeypatch.setattr("qga.pipeline.embedding_cost_source", broken_cost_source)
+    """Only rejected inputs (QgaError) mark a candidate infeasible; a bug in
+    the build must surface, not become exit 3.  A ValueError is a bug too:
+    the data conditions the loop can meet raise UnknownItemError."""
     tokens = "scientist graduate from university locate USA".split()
-    with pytest.raises(TypeError, match="cost source bug"):
-        answer_keywords(tokens, mini_kg, mini_lexicon, mini_table)
+    for error in (TypeError, ValueError):
+
+        def broken_cost_source(table):
+            def source(set1, v1, set2, v2, j, predicates):
+                raise error("cost source bug")
+
+            return source
+
+        monkeypatch.setattr("qga.pipeline.embedding_cost_source", broken_cost_source)
+        with pytest.raises(error, match="cost source bug"):
+            answer_keywords(tokens, mini_kg, mini_lexicon, mini_table)

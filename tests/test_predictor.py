@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qga.assembler import FREE_VAR, AssembledEdge, CandidateSets, QueryGraph
 from qga.embedding import DIR_FORWARD, EmbeddingTable, triple_assembly_cost
+from qga.errors import UnknownItemError
 from qga.predictor import (
     build_prediction_graph,
     connected_components,
@@ -348,5 +349,14 @@ def test_unpinned_candidate_without_vector_skipped():
 def test_only_unvectored_predicates_is_an_input_error():
     table = table_from([[0, 0], [1, 0], [1, 0]])
     table.has[2] = False
-    with pytest.raises(ValueError, match="no predicate"):
+    with pytest.raises(UnknownItemError, match="no predicate"):
         predict_missing_relations(graph([0, 1], []), table, [2])
+
+
+def test_component_without_vectored_vertex_is_an_input_error():
+    # items: 0 anchor, 1 the other set's only candidate (no vector), 2 predicate
+    table = table_from([[0, 0], [1, 0], [1, 0]])
+    table.has[1] = False
+    q = QueryGraph(vertices=[0, 1], edges=[], total_cost=0.0, sets=CandidateSets([(0,), (1,)], []))
+    with pytest.raises(UnknownItemError, match="component has no concrete vertex"):
+        predict_missing_relations(q, table, [2])

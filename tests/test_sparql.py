@@ -1,7 +1,11 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qga.assembler import FREE_VAR, AssembledEdge, QueryGraph
 from qga.embedding import DIR_FORWARD, DIR_REVERSE
@@ -243,3 +247,44 @@ def test_random_bgps_match_exhaustive_assignment(tmp_path):
             continue
         sq = StructuredQuery(select_vars=sorted(used), patterns=patterns, text="")
         assert evaluate_bgp(sq, kg) == brute_force_bgp(sq, kg)
+
+
+NODES = ("a", "b", "c", "d")
+PREDICATES = ("p", "q")
+VARS = (Var("x"), Var("y"), Var("z"))
+
+
+@st.composite
+def bgp_cases(draw):
+    """A store of up to 10 triples over 4 nodes and 2 predicates, 1-3
+    patterns with a variable or a stored constant in every position (the
+    predicate included, repeats allowed), and a projection onto any subset
+    of the variables: all, a strict subset, or none (an ASK)."""
+    triples = draw(
+        st.lists(
+            st.tuples(st.sampled_from(NODES), st.sampled_from(PREDICATES), st.sampled_from(NODES)),
+            min_size=1,
+            max_size=10,
+            unique=True,
+        )
+    )
+    nodes = sorted({t for s, _, o in triples for t in (s, o)})
+    preds = sorted({p for _, p, _ in triples})
+    node = st.sampled_from(VARS) | st.sampled_from(nodes)
+    pattern = st.tuples(node, st.sampled_from(VARS) | st.sampled_from(preds), node)
+    patterns = draw(st.lists(pattern, min_size=1, max_size=3))
+    used = sorted({t.name for pat in patterns for t in pat if isinstance(t, Var)})
+    select_vars = draw(st.lists(st.sampled_from(used), unique=True)) if used else []
+    return triples, patterns, select_vars
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bgp_cases())
+def test_evaluator_matches_exhaustive_assignment(case):
+    triples, patterns, select_vars = case
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "kg.tsv"
+        path.write_text("".join(f"{s}\t{p}\t{o}\n" for s, p, o in triples))
+        kg = load_triples(path)
+    sq = StructuredQuery(select_vars=select_vars, patterns=patterns, text="", is_ask=not select_vars)
+    assert evaluate_bgp(sq, kg) == brute_force_bgp(sq, kg)
