@@ -11,9 +11,11 @@ of the two directed L2 residuals |v1 + p - v2| and |v2 + p - v1|, together
 with the direction that attained it.  Every cost function here hands its
 vertex pairs and its predicates to ``kernels.pair_costs``, which scores the
 whole pairs x predicates grid; a condensed edge weight is the min of one
-grid row.  A residual's squares are summed left to right in scoring as in
-training, and a single pair costs the same bits alone as inside a batch,
-so the per-cell and batched functions below agree exactly.
+grid row.  Scoring computes each residual as ``(v1 - v2) + p`` forward and
+``(v1 - v2) - p`` reverse, training as ``(s + p) - o``; both sum a
+residual's squares left to right.  A single pair costs the same bits alone
+as inside a batch, so the per-cell and batched functions below agree
+exactly.
 """
 
 from __future__ import annotations

@@ -21,6 +21,9 @@ class KindConflictError(QgaError):
 class UnknownItemError(QgaError, KeyError):
     """An id or IRI does not exist in the store or table."""
 
+    # KeyError's __str__ is the repr of its message; print the message itself
+    __str__ = Exception.__str__
+
 
 class VectorFormatError(QgaError):
     """An embedding file is malformed or inconsistent."""

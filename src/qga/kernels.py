@@ -14,14 +14,13 @@ Two kernels carry essentially all the floating-point work:
   bitwise identical to ``_sgd_epoch_impl``, which stays as the reference.
 * ``pair_costs`` — two-direction translation residuals
   ``min(|v1 + p - v2|, |v2 + p - v1|)`` over a grid of R vertex pairs by
-  P predicates.  The pair list is split into outer-product blocks a x b
-  (its callers pass one product per set pair), and each block is scored by
-  two ``scipy.spatial.distance.cdist`` calls, one per direction, on the
-  shifted rows ``a + q`` and ``b + q``.  A cell is ``sqrt`` of the squares
-  of ``(a + q) - b`` summed left to right, the order ``_sgd_epoch_impl``
-  uses, so its result does not depend on R, P or the blocks.  Predicates
-  are taken in chunks so that each ``cdist`` input stays near
-  ``PAIR_COST_CELLS`` rows.
+  P predicates, read off the pair differences ``delta = v1 - v2``: the
+  forward residual is ``delta + q`` and the reverse one ``-(delta - q)``.
+  One ``scipy.spatial.distance.cdist(delta, [-Q; Q])`` call per predicate
+  chunk scores both directions of every pair.  A cell is ``sqrt`` of its
+  squares summed left to right, the order ``_sgd_epoch_impl`` uses, so its
+  result does not depend on R or P.  Predicates are taken in chunks of
+  ``PAIR_COST_CELLS // R``, which bounds the cells of each ``cdist`` output.
 """
 
 from __future__ import annotations
@@ -142,48 +141,11 @@ def _sgd_epoch_lists(vec, pos, neg, lr, margin):
 sgd_epoch = njit(cache=True)(_sgd_epoch_impl) if NUMBA_ENABLED else _sgd_epoch_lists
 
 
-# Shifted rows per cdist input: predicates are scored
-# max(1, PAIR_COST_CELLS // side) at a time, side being the longest side of
-# a call's blocks, so each (L * P) or (W * P) input of d float64s stays
-# within PAIR_COST_CELLS rows unless one block side alone is longer.
-PAIR_COST_CELLS = 2048
-
-
-def _product_blocks(v1, v2):
-    """Split a pair list into maximal outer-product blocks.
-
-    A run of equal ``v1`` is one row; consecutive rows with the same width
-    and the same ``v2`` run form one block.  Returns ``(start, rows, width)``
-    per block: pairs ``start .. end = start + rows * width`` are
-    ``v1[start:end:width] x v2[start:start + width]`` in row-major order.
-    """
-    n = len(v1)
-    ends = (v1[1:] != v1[:-1]).nonzero()[0]  # last pair of each row but the last
-    if not len(ends):
-        return [(0, 1, n)]
-    width = int(ends[0]) + 1
-    # one block: every row is `width` long and repeats the first v2 run
-    # (tobytes compares exactly without a numpy reduction per test)
-    if (
-        n % width == 0
-        and ends.tobytes() == np.arange(width - 1, n - 1, width, dtype=ends.dtype).tobytes()
-        and v2[width:].tobytes() == v2[:-width].tobytes()
-    ):
-        return [(0, n // width, width)]
-    bounds = np.empty(len(ends) + 2, dtype=np.int64)  # row starts, then n
-    bounds[0], bounds[-1] = 0, n
-    np.add(ends, 1, out=bounds[1:-1])
-    widths = bounds[1:] - bounds[:-1]
-    joins = widths[1:] == widths[:-1]
-    firsts = range(len(widths) + 1)  # first row of each block
-    if joins.any():
-        # element i of row r >= 1 against element i - widths[r - 1], which
-        # lies in row r - 1 at the same offset when the two widths are equal
-        back = np.arange(width, n) - np.repeat(widths[:-1], widths[1:])
-        joins &= np.logical_and.reduceat(v2[width:] == v2.take(back), bounds[1:-1] - width)
-        firsts = [0, *((~joins).nonzero()[0] + 1).tolist(), len(widths)]
-    starts, widths = bounds.tolist(), widths.tolist()
-    return [(starts[r0], r1 - r0, widths[r0]) for r0, r1 in zip(firsts, firsts[1:])]
+# Cells per direction of one cdist output: predicates are scored
+# max(1, PAIR_COST_CELLS // R) at a time, so a call's (R, 2 * chunk) output
+# holds at most 2 * PAIR_COST_CELLS float64s (1 MiB) unless R alone is
+# larger.
+PAIR_COST_CELLS = 1 << 16
 
 
 def pair_costs(vec: np.ndarray, v1, v2, preds):
@@ -193,38 +155,35 @@ def pair_costs(vec: np.ndarray, v1, v2, preds):
     both (R, P): dirs[r, k] = 0 when |v1 + p - v2| <= |v2 + p - v1| (the
     triple reads v1 -> v2), 1 otherwise.
 
-    The pairs are split into outer-product blocks a x b, and each block is
-    scored by two ``cdist`` calls, forward ``(a + q) - b`` and reverse
-    ``(b + q) - a``.  A cell is ``sqrt`` of its d squares summed left to
-    right, whatever R, P and the blocks are, so a grid row equals its pair
-    computed alone.  Beside the outputs, working memory is the 2R gathered
-    pair rows and about ``PAIR_COST_CELLS`` shifted rows per ``cdist`` input.
+    Both residuals are read off the pair difference ``delta = v1 - v2``:
+    forward ``delta + q`` and reverse ``delta - q``, whose square equals that
+    of ``(v2 + q) - v1``.  One ``cdist(delta, [-Q; Q])`` per predicate chunk
+    scores both; ``delta - (-q)`` is ``delta + q`` exactly.  A cell is
+    ``sqrt`` of its d squares summed left to right, whatever R and P are, so
+    a grid row equals its pair computed alone, and swapping v1 and v2 negates
+    ``delta`` exactly and swaps the two residuals.  Beside the outputs,
+    working memory is the R gathered differences, one chunk's ``[-Q; Q]``
+    rows and its ``cdist`` output of at most ``2 * PAIR_COST_CELLS`` cells
+    (when R <= PAIR_COST_CELLS).
     """
     v1 = np.asarray(v1, dtype=np.int64)
     v2 = np.asarray(v2, dtype=np.int64)
     preds = np.asarray(preds, dtype=np.int64)
-    n, k, d = len(v1), len(preds), vec.shape[1]
+    n, k = len(v1), len(preds)
     costs = np.empty((n, k))
     dirs = np.empty((n, k), dtype=np.int8)
     if not n:
         return costs, dirs
     # the comparison writes its 0/1 bytes straight into dirs
     reverse = dirs.view(np.bool_)
-    first, second = vec.take(v1, axis=0), vec.take(v2, axis=0)
-    blocks = _product_blocks(v1, v2)
-    step = max(1, PAIR_COST_CELLS // max(max(rows, width) for _, rows, width in blocks))
+    delta = vec.take(v1, axis=0) - vec.take(v2, axis=0)
+    step = max(1, PAIR_COST_CELLS // n)
     for lo in range(0, k, step):
         hi = min(lo + step, k)
         q = vec.take(preds[lo:hi], axis=0)
-        for start, rows, width in blocks:
-            end = start + rows * width
-            a, b = first[start:end:width], second[start : start + width]
-            # cdist sums (x - y) ** 2 left to right; forward it takes
-            # b - (a + q), the exact negation of (a + q) - b, same square
-            cf = cdist(b, np.add(a[:, None], q).reshape(-1, d), "euclidean")
-            cf = cf.reshape(width, rows, -1).transpose(1, 0, 2)
-            cr = cdist(a, np.add(b[:, None], q).reshape(-1, d), "euclidean")
-            cr = cr.reshape(rows, width, -1)
-            np.less(cr, cf, out=reverse[start:end, lo:hi].reshape(rows, width, -1))
-            np.minimum(cf, cr, out=costs[start:end, lo:hi].reshape(rows, width, -1))
+        # cdist sums (delta - y) ** 2 left to right over y in [-Q; Q]
+        c = cdist(delta, np.concatenate((-q, q)), "euclidean")
+        cf, cr = c[:, : hi - lo], c[:, hi - lo :]
+        np.less(cr, cf, out=reverse[:, lo:hi])
+        np.minimum(cf, cr, out=costs[:, lo:hi])
     return costs, dirs

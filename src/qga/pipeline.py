@@ -109,10 +109,10 @@ def answer_keywords(tokens, kg, lexicon, table, config: PipelineConfig | None = 
         raise UninterpretableQueryError(f"no interpretation for tokens {tokens!r}")
 
     # class membership is carried by the class vertices themselves, so the
-    # type predicate is never a sensible implicit relation
-    predictable = [p for p in kg.predicates if kg.iri_of(p) != kg.type_predicate]
-    if not predictable:
-        predictable = kg.predicates
+    # type predicate is never a sensible implicit relation; the catalog's ids
+    # index kg.items directly
+    catalog, iris = kg.predicates, kg.items
+    predictable = [p for p in catalog if iris[p] != kg.type_predicate] or catalog
 
     candidates: list[CandidateResult] = []
     for aq in aqs:

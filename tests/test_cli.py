@@ -184,3 +184,11 @@ def test_query_invalid_config_is_a_usage_error(tmp_path, capsys):
         code = main(["query", "einstein", "--kb", KB, "--vectors", str(vectors), flag, "0"])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_query_unknown_iri_prints_the_message_unquoted(tmp_path, capsys):
+    # UnknownItemError is a KeyError, whose str() would quote the message
+    vectors = tmp_path / "vectors.tsv"
+    vectors.write_text("dim=2\nno:such_thing\t0.5 0.25\n")
+    assert main(["query", "einstein", "--kb", KB, "--vectors", str(vectors)]) == 1
+    assert capsys.readouterr().err == f"error: {vectors}:2: unknown IRI 'no:such_thing'\n"

@@ -4,6 +4,8 @@ reference loop."""
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,15 +38,15 @@ def test_pair_costs_grid_matches_per_element_norms():
 
 def left_to_right_pair_costs(vec, v1, v2, preds):
     """The reference the kernel must equal bit for bit: per cell, each
-    element's ``(a + q) - b``, the squares added left to right to 0.0 (the
-    order of ``_sgd_epoch_impl``), then ``sqrt``; ties keep the forward
-    direction."""
+    element's ``(x - y) + q`` forward and ``(x - y) - q`` reverse, the
+    squares added left to right to 0.0 (the order of ``_sgd_epoch_impl``),
+    then ``sqrt``; ties keep the forward direction."""
     rows = vec.tolist()
 
-    def residual(x, q, y):
+    def residual(x, y, q, sign):
         sq = 0.0
-        for xi, qi, yi in zip(x, q, y):
-            r = xi + qi - yi
+        for xi, yi, qi in zip(x, y, q):
+            r = (xi - yi) + sign * qi
             sq += r * r
         return math.sqrt(sq)
 
@@ -52,8 +54,8 @@ def left_to_right_pair_costs(vec, v1, v2, preds):
     dirs = np.empty((len(v1), len(preds)), dtype=np.int8)
     for r, (i, j) in enumerate(zip(v1, v2)):
         for k, p in enumerate(preds):
-            cf = residual(rows[i], rows[p], rows[j])
-            cr = residual(rows[j], rows[p], rows[i])
+            cf = residual(rows[i], rows[j], rows[p], 1.0)
+            cr = residual(rows[i], rows[j], rows[p], -1.0)
             costs[r, k] = cr if cr < cf else cf
             dirs[r, k] = 1 if cr < cf else 0
     return costs, dirs
@@ -89,7 +91,7 @@ pair_lists = st.one_of(
 @example(dim=32, pairs=product_pairs([([0, 1], [2, 3]), ([1, 4], [2, 3])]), preds=[0, 2, 4], cells=5, seed=1)
 @example(dim=257, pairs=product_pairs([([0, 0], [1]), ([0], [1, 1, 2])]), preds=[3], cells=1, seed=2)
 def test_pair_costs_equal_left_to_right_reference_bitwise(dim, pairs, preds, cells, seed):
-    # the last two @example lists hold adjacent blocks that share a v1
+    # the last two @example lists hold adjacent products that share a v1
     # value: [0, 1] x [2, 3] then [1, 4] x [2, 3], and [0, 0] x [1] then
     # [0] x [1, 1, 2].  Column scales from 1e-8 to 1e6 put squares of every
     # size in one sum, and small PAIR_COST_CELLS split the predicates over
@@ -107,33 +109,39 @@ def test_pair_costs_equal_left_to_right_reference_bitwise(dim, pairs, preds, cel
     assert dirs.tobytes() == ref_dirs.tobytes()
 
 
-@pytest.mark.parametrize(
-    "blocks, expected",
-    [
-        # one set pair: a single block, whatever its shape
-        ([([7], [9])], [(0, [7], [9])]),
-        ([([7, 8], [9, 5, 6])], [(0, [7, 8], [9, 5, 6])]),
-        # the set pairs of a condensed graph over sets A, B, C: (A, C) and
-        # (B, C) share C and follow each other, so they form one block
-        (
-            [([1, 2], [3, 4]), ([1, 2], [5, 6]), ([3, 4], [5, 6])],
-            [(0, [1, 2], [3, 4]), (4, [1, 2, 3, 4], [5, 6])],
-        ),
-        # a set pair whose second set differs in one id starts a new block
-        ([([1, 2], [3, 4]), ([5, 6], [3, 7])], [(0, [1, 2], [3, 4]), (4, [5, 6], [3, 7])]),
-        # a singleton first set: its two products are one row
-        ([([1], [3, 4]), ([1], [5, 6]), ([3, 4], [5, 6])], [(0, [1], [3, 4, 5, 6]), (4, [3, 4], [5, 6])]),
-        # equal v2 runs under new rows extend the block
-        ([([1, 2], [3, 4]), ([5], [3, 4])], [(0, [1, 2, 5], [3, 4])]),
-    ],
+def exact_pair_cost(x, y, q):
+    """min(|x + q - y|, |y + q - x|) of the given floats, as an exact
+    rational square root to 60 digits."""
+    fx, fy, fq = ([Fraction(t) for t in v] for v in (x, y, q))
+    forward = sum(((a + c - b) ** 2 for a, b, c in zip(fx, fy, fq)), Fraction(0))
+    reverse = sum(((b + c - a) ** 2 for a, b, c in zip(fx, fy, fq)), Fraction(0))
+    sq = min(forward, reverse)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(sq.numerator) / Decimal(sq.denominator)).sqrt()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 3, 32, 257]),
+    eps=st.sampled_from([1e-2, 1e-4, 1e-8, 1e-12, 1e-14, 0.0]),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_product_blocks_find_the_set_pair_products(blocks, expected):
-    v1, v2 = (np.array(x, dtype=np.int64) for x in product_pairs(blocks))
-    found = [
-        (start, v1[start : start + rows * width : width].tolist(), v2[start : start + width].tolist())
-        for start, rows, width in kernels._product_blocks(v1, v2)
-    ]
-    assert found == expected
+@example(dim=32, eps=1e-12, seed=0)
+def test_pair_costs_near_zero_stay_within_rounding_of_the_exact_cost(dim, eps, seed):
+    # v2 = v1 + p + eps * r puts the forward cost near zero, where a Gram
+    # form |d|^2 + |q|^2 + 2 d.q cancels to noise; the difference form keeps
+    # the error within a few roundings of the largest input element
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-8, 6, size=dim)
+    v1, p, r = (rng.normal(size=(4, dim)) * scale for _ in range(3))
+    v2 = v1 + p + eps * r
+    vec = np.concatenate((v1, v2, p))
+    costs, _ = kernels.pair_costs(vec, np.arange(4), np.arange(4, 8), np.arange(8, 12))
+    for i in range(4):
+        top = max(np.abs(v1[i]).max(), np.abs(v2[i]).max(), np.abs(p[i]).max())
+        bound = Decimal(2 * dim * np.finfo(float).eps * top)
+        assert abs(Decimal(costs[i, i]) - exact_pair_cost(v1[i], v2[i], p[i])) <= bound
 
 
 def test_pair_costs_working_memory_does_not_grow_with_the_grid():
@@ -154,8 +162,8 @@ def test_pair_costs_working_memory_does_not_grow_with_the_grid():
 
 
 def test_pair_costs_working_memory_stays_flat_on_a_large_predicate_catalog():
-    # one 4 x 4 block against 200 000 predicates: gathering them at once
-    # would take 51 MB, and each shifted cdist input 205 MB
+    # one 4 x 4 product against 200 000 predicates: gathering them at once
+    # would take 51 MB, and one [-Q; Q] cdist input over them 102 MB
     rng = np.random.default_rng(6)
     vec = rng.normal(size=(200_008, 32))
     a, b = np.arange(4), np.arange(4, 8)

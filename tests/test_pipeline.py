@@ -1,12 +1,25 @@
+import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qga.assembler import BOUND_NAMES, solve_qga
+from qga import pipeline
+from qga.assembler import (
+    BOUND_NAMES,
+    SolveStats,
+    brute_force_oracle,
+    build_condensed_graph,
+    embedding_cost_source,
+    solve_qga,
+)
 from qga.embedding import EmbeddingTable
 from qga.errors import InfeasibleAssemblyError, UninterpretableQueryError
-from qga.lexicon import build_lexicon
+from qga.lexicon import annotate, build_lexicon
 from qga.pipeline import PipelineConfig, answer_keywords, bench_instances, bench_lower_bounds
 from qga.store import load_triples
 
@@ -97,7 +110,7 @@ def test_term_without_any_vectored_candidate_names_the_term(mini_kg, mini_lexico
     table = without_vectors(mini_table, mini_kg.predicates)
     with pytest.raises(InfeasibleAssemblyError) as err:
         answer_keywords("university locate USA".split(), mini_kg, mini_lexicon, table)
-    assert err.value.reasons == ["UnknownItemError: \"no candidate of relation term 'locate' has a vector\""]
+    assert err.value.reasons == ["UnknownItemError: no candidate of relation term 'locate' has a vector"]
 
 
 @pytest.mark.parametrize(
@@ -135,6 +148,18 @@ def test_winner_selection_scale_invariant(mini_kg, mini_lexicon, mini_table):
     scaled = answer_keywords(tokens, mini_kg, mini_lexicon, scaled_table)
     assert scaled.winner_index == base.winner_index
     assert scaled.structured_query.text == base.structured_query.text
+
+
+def test_equal_candidates_go_to_the_first(monkeypatch, mini_kg, mini_lexicon, mini_table):
+    """Two copies of one annotated query tie on normalized cost and on
+    segmentation score; the last tie break, the candidate index, picks 0."""
+    tokens = "scientist graduate from university locate USA".split()
+    aq = annotate(tokens, mini_lexicon)[0]
+    monkeypatch.setattr(pipeline.lexicon_mod, "annotate", lambda *args, **kwargs: [aq, aq])
+    result = answer_keywords(tokens, mini_kg, mini_lexicon, mini_table)
+    first, second = result.candidates
+    assert first.normalized_cost == second.normalized_cost
+    assert result.winner_index == 0
 
 
 def junk_inflated_store(tmp_path, factor=100):
@@ -270,3 +295,102 @@ def test_programming_error_in_cost_source_propagates(monkeypatch, mini_kg, mini_
         monkeypatch.setattr("qga.pipeline.embedding_cost_source", broken_cost_source)
         with pytest.raises(error, match="cost source bug"):
             answer_keywords(tokens, mini_kg, mini_lexicon, mini_table)
+
+
+# -- end-to-end oracle ------------------------------------------------------------
+
+VERTEX_WORDS = ("bako", "dimu", "fesa", "gilo")
+RELATION_WORDS = ("kavu", "lomi", "nepa")
+
+
+def write_tiny_store(root, n, m, k, shared, rng):
+    """A store whose vertex keyword i labels entities ``t:v{i}_{r}`` and
+    relation keyword j paraphrases predicates ``t:p{j}_{r}``, r < k.  With
+    ``shared``, the first relation keyword also labels k entities, so the
+    query has a second reading with one more vertex term and one relation
+    term fewer.  Returns (kg, lexicon, tokens)."""
+    entities = [f"t:v{i}_{r}" for i in range(n) for r in range(k)]
+    extra = [f"t:x_{r}" for r in range(k)] if shared else []
+    triples = [(e, "rdf:type", "t:Thing") for e in entities + extra]
+    for j in range(m):
+        for r in range(k):
+            s, o = rng.choice(len(entities), size=2, replace=False)
+            triples.append((entities[s], f"t:p{j}_{r}", entities[o]))
+    (root / "kg.tsv").write_text("".join(f"{s}\t{p}\t{o}\n" for s, p, o in triples))
+    labels = [(e, VERTEX_WORDS[int(e[3])]) for e in entities] + [(x, RELATION_WORDS[0]) for x in extra]
+    (root / "labels.tsv").write_text("".join(f"{iri}\t{w}\n" for iri, w in labels))
+    (root / "para.tsv").write_text(
+        "".join(f"{RELATION_WORDS[j]}\tt:p{j}_{r}\n" for j in range(m) for r in range(k))
+    )
+    kg = load_triples(root / "kg.tsv")
+    lexicon = build_lexicon(kg, root / "labels.tsv", root / "para.tsv")
+    words = list(VERTEX_WORDS[:n] + RELATION_WORDS[:m])
+    return kg, lexicon, [words[int(i)] for i in rng.permutation(len(words))]
+
+
+def has_unique_optimum(graph):
+    """True when one assembly is cheaper than every other: the exhaustive
+    enumeration of ``brute_force_oracle``, keyed by the edges it picks."""
+    sets = graph.sets
+    weight = {
+        (tuple(graph.left_nodes[graph.lefts[e]].tolist()), int(graph.rights[e])): float(graph.weights[e])
+        for e in graph.edges
+    }
+    costs = {}
+    pair_sets = list(itertools.combinations(range(sets.n), 2))
+    for combo in itertools.product(*sets.vertex_sets):
+        for assignment in itertools.permutations(pair_sets, sets.m):
+            cells = tuple(((i1, combo[i1], i2, combo[i2]), j) for j, (i1, i2) in enumerate(assignment))
+            costs[cells] = sum(weight[c] for c in cells)
+    ranked = sorted(costs.values())
+    return len(ranked) < 2 or ranked[1] - ranked[0] > 1e-9 * max(1.0, ranked[0])
+
+
+def oracle_solve(graph, bound="greedy"):
+    return brute_force_oracle(graph)[1], SolveStats()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    m=st.integers(1, 3),
+    k=st.integers(1, 3),
+    shared=st.booleans(),
+    dim=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pipeline_winner_matches_the_brute_force_oracle(n, m, k, shared, dim, seed):
+    """Every candidate assembled by ``brute_force_oracle`` instead of the
+    branch and bound, then predicted and ranked as ``answer_keywords`` does,
+    gives the pipeline's winning normalized cost; with one optimal assembly
+    per candidate, the same winner and bindings."""
+    if shared and n == 4:
+        n = 3  # the second reading adds a vertex set; keep at most 4
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        kg, lexicon, tokens = write_tiny_store(Path(tmp), n, m, k, shared, rng)
+    table = EmbeddingTable(
+        dim=dim,
+        vectors=rng.normal(size=(kg.num_items(), dim)),
+        has=np.ones(kg.num_items(), dtype=bool),
+        items=list(kg.items),
+    )
+    config = PipelineConfig(k=k)
+    try:
+        solved = answer_keywords(tokens, kg, lexicon, table, config)
+    except InfeasibleAssemblyError:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "solve_qga", oracle_solve)
+            with pytest.raises(InfeasibleAssemblyError):
+                answer_keywords(tokens, kg, lexicon, table, config)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "solve_qga", oracle_solve)
+        brute = answer_keywords(tokens, kg, lexicon, table, config)
+    winner = solved.candidates[solved.winner_index]
+    assert brute.candidates[brute.winner_index].normalized_cost == winner.normalized_cost
+    graphs = [build_condensed_graph(c.sets, embedding_cost_source(table)) for c in solved.candidates if c.sets]
+    if all(has_unique_optimum(g) for g in graphs):
+        assert brute.winner_index == solved.winner_index
+        assert brute.structured_query.text == solved.structured_query.text
+        assert brute.bindings == solved.bindings
