@@ -298,11 +298,15 @@ def condensed_edge_weights(table: EmbeddingTable, v1, v2, predicates):
     pair over the id-sorted predicates, so ties break by id exactly as in
     the single-pair function.  Returns (costs, best predicates, directions)
     arrays aligned with ``v1``/``v2``.
+
+    Unlike ``condensed_edge_weight``, no id is checked for a vector: every
+    caller has already dropped the ids without one (``answer_keywords``
+    its unvectored candidates, the predictor its unvectored endpoints and
+    predicates), and an id without one would be scored as a zero vector.
     """
     preds = np.array(sorted(predicates), dtype=np.int64)
     if not len(preds):
         raise ValueError("empty predicate set")
-    table.require(np.concatenate((v1, v2, preds)))
     costs, dirs = kernels.pair_costs(table.vectors, v1, v2, preds)
     best = costs.argmin(axis=1)
     pairs = np.arange(len(best))

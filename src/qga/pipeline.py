@@ -13,7 +13,6 @@ import numpy as np
 from . import lexicon as lexicon_mod
 from .assembler import (
     BOUND_NAMES,
-    FREE_VAR,
     build_candidate_sets,
     build_condensed_graph,
     embedding_cost_source,
@@ -119,11 +118,12 @@ def answer_keywords(tokens, kg, lexicon, table, config: PipelineConfig | None = 
         cand = CandidateResult(aq=aq)
         candidates.append(cand)
         try:
-            sets = build_candidate_sets(aq)
             # edge costs need a vector for every candidate, but are computed
-            # only between annotated vertices: a free variable's edges read none
-            if sets.m and not any(FREE_VAR in vs for vs in sets.vertex_sets):
-                sets = build_candidate_sets(_vectored_query(aq, tokens, table))
+            # only between annotated vertices: with fewer than two, the
+            # relations are wired to free variables, whose edges read none
+            relations = sum(term.character == "relation" for term in aq.terms)
+            costed = relations and len(aq.terms) - relations >= 2
+            sets = build_candidate_sets(_vectored_query(aq, tokens, table) if costed else aq)
             cand.sets = sets
             graph = build_condensed_graph(sets, embedding_cost_source(table))
             q, stats = solve_qga(graph, bound=config.bound)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .assembler import FREE_VAR, QueryGraph
 from .embedding import DIR_FORWARD
@@ -76,39 +77,108 @@ def emit_sparql(q: QueryGraph, kg: KnowledgeGraph) -> StructuredQuery:
     )
 
 
+def _picker(indices):
+    """A function from a sequence to the tuple of its items at ``indices``."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    if not indices:
+        return lambda seq: ()
+    return itemgetter(*indices)
+
+
+def _step(pat, column: dict):
+    """How the join reads and extends a row at pattern ``pat``, given the
+    row position of every variable bound so far; ``column`` gains the
+    pattern's new variables.
+
+    Returns ``(consts, args, values, repeats)``: ``args(row + consts)`` gives
+    the ``match_pattern`` arguments, ``values(triple)`` the values of the
+    pattern's new variables, and ``repeats`` the position pairs of a new
+    variable repeated inside the pattern, whose values must agree.
+    """
+    width = len(column)
+    consts = tuple([t for t in pat if not isinstance(t, Var)]) + (WILDCARD,)
+    source, new, repeats = [], [], []
+    for pos, t in enumerate(pat):
+        if not isinstance(t, Var):
+            source.append(width + consts.index(t))
+            continue
+        at = column.setdefault(t.name, width + len(new))
+        if at < width:
+            source.append(at)
+            continue
+        source.append(width + len(consts) - 1)  # WILDCARD
+        if at == width + len(new):
+            new.append(pos)
+        else:
+            repeats.append((new[at - width], pos))
+    return consts, itemgetter(*source), _picker(new), repeats
+
+
+def _plan(patterns, kg, column: dict):
+    """The join steps (see ``_step``), in join order.
+
+    The most selective pattern (``count_pattern`` with variables as
+    wildcards) goes first; then, at each step, a pattern whose variables are
+    all bound, else one that shares a bound variable, else one that shares
+    none, which makes a cross product and so goes last.  Ties go by
+    selectivity, then pattern order.  Every row at one step binds the same
+    variables, so the order depends on no row.  Steps are yielded one by
+    one, so a join that stops early plans no further.
+    """
+    remaining = list(range(len(patterns)))
+    if len(remaining) > 1:
+        remaining.sort(key=lambda i: kg.count_pattern(*[WILDCARD if isinstance(t, Var) else t for t in patterns[i]]))
+    yield _step(patterns[remaining.pop(0)], column)
+    names = [{t.name for t in pat if isinstance(t, Var)} for pat in patterns]
+    while remaining:
+        # remaining is in (selectivity, pattern) order, so min keeps the first tie
+        nxt = min(
+            remaining,
+            key=lambda i: 0 if column.keys() >= names[i] else 1 if not names[i].isdisjoint(column) else 2,
+        )
+        remaining.remove(nxt)
+        yield _step(patterns[nxt], column)
+
+
 def evaluate_bgp(sq: StructuredQuery, kg: KnowledgeGraph) -> list[dict[str, int]]:
     """All variable bindings satisfying every pattern, deterministically
     ordered.
 
-    A breadth-first join, most selective pattern first (ties in pattern
-    order): each pattern extends every binding found so far by the triples
-    it matches, so the join holds one level of partial bindings instead of
-    a recursion stack.  Rows are projected to ``select_vars``, deduplicated
-    and sorted by bound ids.  A query with no projection (an ASK) gives one
-    empty row when the pattern set is satisfiable, none otherwise.
+    The join is planned once (``_plan``: most selective pattern first, then
+    patterns that only filter, then ones that share a bound variable, cross
+    products last) and then runs breadth first over tuple rows: each step
+    extends every row by the values of the triples its pattern matches.
+    ``match_pattern`` is called once per row per pattern, and the join stops
+    at the first step that leaves no rows.  Rows are projected to
+    ``select_vars``, deduplicated and sorted by bound ids.  A query with no
+    projection (an ASK) gives one empty row when the pattern set is
+    satisfiable, none otherwise.
     """
-    # id_of raises UnknownItemError on an unknown IRI
-    resolved = [tuple(t if isinstance(t, Var) else kg.id_of(t) for t in pat) for pat in sq.patterns]
+    # id_of raises UnknownItemError on an unknown IRI, before any join work
+    resolved = [tuple([t if isinstance(t, Var) else kg.id_of(t) for t in pat]) for pat in sq.patterns]
     if not resolved:
         return [{}]
 
-    def selectivity(pat):
-        return kg.count_pattern(*(WILDCARD if isinstance(t, Var) else t for t in pat))
+    column: dict[str, int] = {}  # variable name -> row position
+    match = kg.match_pattern
+    rows: list[tuple] = [()]
+    for consts, args, values, repeats in _plan(resolved, kg, column):
+        if repeats:
+            rows = [
+                row + values(t)
+                for row in rows
+                for t in match(*args(row + consts))
+                if all(t[i] == t[j] for i, j in repeats)
+            ]
+        else:
+            rows = [row + values(t) for row in rows for t in match(*args(row + consts))]
+        if not rows:
+            return []
 
-    bindings: list[dict[str, int]] = [{}]
-    for pat in sorted(resolved, key=selectivity):
-        extended = []
-        for binding in bindings:
-            args = [binding.get(t.name, WILDCARD) if isinstance(t, Var) else t for t in pat]
-            for triple in kg.match_pattern(*args):
-                new = dict(binding)
-                # setdefault binds a new variable and checks a repeated one
-                if all(new.setdefault(t.name, v) == v for t, v in zip(pat, triple) if isinstance(t, Var)):
-                    extended.append(new)
-        bindings = extended
-
-    rows = {tuple(b[v] for v in sq.select_vars) for b in bindings}
-    return [dict(zip(sq.select_vars, row)) for row in sorted(rows)]
+    project = _picker([column[v] for v in sq.select_vars])
+    return [dict(zip(sq.select_vars, row)) for row in sorted({project(row) for row in rows})]
 
 
 def bindings_to_tsv(sq: StructuredQuery, bindings, kg: KnowledgeGraph) -> str:

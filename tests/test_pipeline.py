@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qga import pipeline
+from qga import kernels, pipeline
 from qga.assembler import (
     BOUND_NAMES,
     SolveStats,
@@ -111,6 +111,36 @@ def test_term_without_any_vectored_candidate_names_the_term(mini_kg, mini_lexico
     with pytest.raises(InfeasibleAssemblyError) as err:
         answer_keywords("university locate USA".split(), mini_kg, mini_lexicon, table)
     assert err.value.reasons == ["UnknownItemError: no candidate of relation term 'locate' has a vector"]
+
+
+@pytest.mark.parametrize("residue", [0, 1, 2])
+def test_pair_costs_only_sees_vectored_ids(residue, monkeypatch, mini_kg, mini_lexicon, mini_table, mini_queries):
+    """The pair-cost kernel checks no id for a vector, so every caller must
+    filter first: assembly drops unvectored candidates, the predictor
+    unvectored endpoints and catalog predicates.  With res:USA_Today, a
+    losing "USA" candidate, and a third of the predicates holed, every id
+    the kernel receives has a vector: on the mini queries, and on two with
+    no relation term, whose vertex sets only the predictor filters."""
+    holes = [mini_kg.id_of("res:USA_Today")] + [p for p in mini_kg.predicates if p % 3 == residue]
+    table = without_vectors(mini_table, holes)
+    received = []
+    real = kernels.pair_costs
+
+    def spy(vec, v1, v2, preds):
+        received.append(np.concatenate([np.asarray(ids, dtype=np.int64) for ids in (v1, v2, preds)]))
+        return real(vec, v1, v2, preds)
+
+    monkeypatch.setattr(kernels, "pair_costs", spy)
+    predicted = 0
+    for tokens in [tokens for _, tokens in mini_queries] + [["university", "USA"], ["newspaper", "USA"]]:
+        try:
+            result = answer_keywords(tokens, mini_kg, mini_lexicon, table)
+        except InfeasibleAssemblyError:
+            continue
+        predicted += len(result.query_graph.predicted_edges)
+    assert received and predicted
+    ids = np.concatenate(received)
+    assert table.has_vector(ids).all(), sorted(set(ids[~table.has_vector(ids)].tolist()))
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from qga.assembler import FREE_VAR, AssembledEdge, QueryGraph
 from qga.embedding import DIR_FORWARD, DIR_REVERSE
 from qga.errors import UnknownItemError
 from qga.sparql import StructuredQuery, Var, emit_sparql, evaluate_bgp
-from qga.store import load_triples
+from qga.store import KnowledgeGraph, load_triples
 
 
 def edge(set1, set2, v1, v2, p, direction=DIR_FORWARD, predicted=False, w=0.0):
@@ -204,6 +204,48 @@ def test_unknown_iri_errors(tmp_path):
         evaluate_bgp(sq, kg)
 
 
+def test_unknown_iri_in_a_later_pattern_errors_after_an_empty_level(tmp_path):
+    # the first pattern matches nothing, so the join stops after it; the
+    # second pattern's IRI is resolved before the join all the same
+    kg = small_store(tmp_path, "a\tp\tb\n")
+    sq = StructuredQuery(
+        select_vars=["x"], patterns=[(Var("x"), "p", "a"), (Var("x"), "nope", "b")], text=""
+    )
+    with pytest.raises(UnknownItemError):
+        evaluate_bgp(sq, kg)
+
+
+def test_class_typed_join_plans_no_cross_product(monkeypatch, mini_kg):
+    """Mini query q03.  The plan takes Princeton's alumni first (6 triples),
+    filters them by the Scientist type, binds ?v2 through almaMater and
+    only then filters by the University type: 22 lookups.  Joining in count
+    order took the University type second, a cross product with the
+    alumni, and made 115."""
+    sq = StructuredQuery(
+        select_vars=["v0", "v2"],
+        patterns=[
+            (Var("v0"), "rdf:type", "dbo:Scientist"),
+            (Var("v2"), "rdf:type", "dbo:University"),
+            (Var("v0"), "dbo:almaMater", Var("v2")),
+            (Var("v0"), "dbo:almaMater", "res:Princeton_University"),
+        ],
+        text="",
+    )
+    calls = []
+    real = KnowledgeGraph.match_pattern
+
+    def spy(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(KnowledgeGraph, "match_pattern", spy)
+    rows = evaluate_bgp(sq, mini_kg)
+    assert len(calls) == 22
+    monkeypatch.undo()
+    assert rows == brute_force_bgp(sq, mini_kg)
+    assert len(rows) == 9
+
+
 def brute_force_bgp(sq, kg):
     names = sorted({t.name for pat in sq.patterns for t in pat if isinstance(t, Var)})
     domain = list(range(kg.num_items()))
@@ -256,10 +298,13 @@ VARS = (Var("x"), Var("y"), Var("z"))
 
 @st.composite
 def bgp_cases(draw):
-    """A store of up to 10 triples over 4 nodes and 2 predicates, 1-3
+    """A store of up to 10 triples over 4 nodes and 2 predicates, 1-5
     patterns with a variable or a stored constant in every position (the
     predicate included, repeats allowed), and a projection onto any subset
-    of the variables: all, a strict subset, or none (an ASK)."""
+    of the variables: all, a strict subset, or none (an ASK).  With up to
+    five patterns over three variables the join plan meets patterns that
+    only filter and patterns that share no bound variable (cross products,
+    joined last)."""
     triples = draw(
         st.lists(
             st.tuples(st.sampled_from(NODES), st.sampled_from(PREDICATES), st.sampled_from(NODES)),
@@ -272,7 +317,7 @@ def bgp_cases(draw):
     preds = sorted({p for _, p, _ in triples})
     node = st.sampled_from(VARS) | st.sampled_from(nodes)
     pattern = st.tuples(node, st.sampled_from(VARS) | st.sampled_from(preds), node)
-    patterns = draw(st.lists(pattern, min_size=1, max_size=3))
+    patterns = draw(st.lists(pattern, min_size=1, max_size=5))
     used = sorted({t.name for pat in patterns for t in pat if isinstance(t, Var)})
     select_vars = draw(st.lists(st.sampled_from(used), unique=True)) if used else []
     return triples, patterns, select_vars
