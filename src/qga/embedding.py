@@ -114,17 +114,27 @@ def _renormalize(vectors: np.ndarray, mask: np.ndarray) -> None:
 def _sample_negatives(rng, pos, vertex_ids, positive_set):
     """Corrupt subject or object of each triple, avoiding stored positives.
 
-    vertex_ids is a list.  Each replacement is one scalar ``rng.integers``
-    draw: an array draw would consume the generator's stream differently.
+    vertex_ids is a list.  The replacement indices come in blocks:
+    ``rng.integers(0, n, size=k)`` yields the same values and leaves the
+    generator in the same state as k scalar ``rng.integers(0, n)`` calls.
+    A block is drawn when the last one is used up at row i, and it holds
+    ``len(rows) - i`` draws: every row from i on takes at least one, so a
+    block never overdraws, and the epoch leaves the generator where one
+    scalar draw per try would.
     """
     rows = pos.tolist()
     # 0: corrupt subject, 1: corrupt object
     sides = rng.integers(0, 2, size=len(rows)).tolist()
-    for row, side in zip(rows, sides):
+    block = iter(())
+    for i, (row, side) in enumerate(zip(rows, sides)):
         col = 0 if side == 0 else 2
         orig = row[col]
         for _ in range(NEGATIVE_TRIES):
-            repl = vertex_ids[rng.integers(0, len(vertex_ids))]
+            j = next(block, None)
+            if j is None:
+                block = iter(rng.integers(0, len(vertex_ids), size=len(rows) - i).tolist())
+                j = next(block)
+            repl = vertex_ids[j]
             if repl == orig:
                 continue
             row[col] = repl

@@ -5,12 +5,11 @@ Two kernels carry essentially all the floating-point work:
 * ``sgd_epoch`` — one margin-ranking SGD epoch over pre-sampled
   positive/negative triple pairs (sequential, order-dependent).  It is
   ``_sgd_epoch_impl`` compiled with ``numba.njit`` when numba imports (the
-  optional ``fast`` extra).  Otherwise it runs the same epoch over Python
-  float lists: the triples are taken ``SGD_CHUNK_TRIPLES`` at a time, the
-  rows a chunk touches are gathered into one list per item id (so aliased
-  ids share a list exactly as numpy rows alias), stepped with the same
-  float ops in the same order, and written back before the next chunk.
-  Working memory is O(chunk * d), not O(items * d), and the results are
+  optional ``fast`` extra).  Otherwise it is ``_sgd_epoch_rows``, the same
+  epoch stepping whole rows with numpy ufuncs: each triple works on views
+  of its five rows (so aliased ids share a row), with the same float ops
+  in the same order, the squares summed left to right by
+  ``np.add.accumulate``.  Working memory is O(d), and the results are
   bitwise identical to ``_sgd_epoch_impl``, which stays as the reference.
 * ``pair_costs`` — two-direction translation residuals
   ``min(|v1 + p - v2|, |v2 + p - v1|)`` over a grid of R vertex pairs by
@@ -26,7 +25,6 @@ Two kernels carry essentially all the floating-point work:
 from __future__ import annotations
 
 import math
-from operator import add, sub
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -81,64 +79,47 @@ def _sgd_epoch_impl(vec, pos, neg, lr, margin):
     return total / n if n else 0.0
 
 
-# Triples per chunk of the list epoch: a chunk gathers at most five rows
-# per triple as Python floats, about 10 MB at d = 32 (tracemalloc peak).
-SGD_CHUNK_TRIPLES = 1024
+def _sgd_epoch_rows(vec, pos, neg, lr, margin):
+    """``_sgd_epoch_impl`` stepped a whole row at a time, bitwise equal to it.
 
-
-def _sgd_epoch_lists(vec, pos, neg, lr, margin):
-    """``_sgd_epoch_impl`` over Python float lists, bitwise equal to it.
-
-    Per element, every op is the reference's in the same order:
-    ``(vs + vp) - vo``, squares added one by one to 0.0 (not ``sum``, which
-    Python >= 3.12 compensates), ``sqrt``, the ``1e-12`` guards, then the
-    s, o, p, cs, co updates.  Each update covers a whole row at once.  That
-    equals the reference's per-element interleave: the gradients are fixed
-    before the first update, and each element still receives its updates in
-    s, o, p, cs, co order.
+    Each triple takes views of its five rows, so aliased ids (s == o,
+    cs == s, ...) share a row exactly as in the reference.  Per element,
+    every float op is the reference's in the same order: ``(vs + vp) - vo``,
+    the squares summed left to right (``np.add.accumulate`` is that
+    sequential loop; ``np.sum`` and ``np.dot`` sum pairwise or blocked), the
+    ``1e-12`` guards, then the s, o, p, cs, co updates.  That equals the
+    reference's per-element interleave: the gradients are fixed before the
+    first update, and each element still receives its updates in s, o, p,
+    cs, co order.  ``lr * g`` and ``g * lr`` round alike.  Working memory is
+    O(d).
     """
     n = pos.shape[0]
     total = 0.0
-    for lo in range(0, n, SGD_CHUNK_TRIPLES):
-        pc = pos[lo : lo + SGD_CHUNK_TRIPLES]
-        nc = neg[lo : lo + SGD_CHUNK_TRIPLES]
-        ids = np.unique(np.concatenate((pc, nc), axis=None))
-        keys = ids.tolist()
-        # one list per id: aliased ids (s == o, cs == s, ...) share a row
-        rows = dict(zip(keys, vec[ids].tolist()))
-        for (s, p, o), (cs, _, co) in zip(pc.tolist(), nc.tolist()):
-            vs, vp, vo, vcs, vco = rows[s], rows[p], rows[o], rows[cs], rows[co]
-            rp = [a + b - c for a, b, c in zip(vs, vp, vo)]
-            rn = [a + b - c for a, b, c in zip(vcs, vp, vco)]
-            sq_p = 0.0
-            for r in rp:
-                sq_p += r * r
-            sq_n = 0.0
-            for r in rn:
-                sq_n += r * r
-            d_pos = math.sqrt(sq_p)
-            d_neg = math.sqrt(sq_n)
-            loss = margin + d_pos - d_neg
-            if loss > 0.0:
-                total += loss
-                inv_p = 1.0 / d_pos if d_pos > 1e-12 else 0.0
-                inv_n = 1.0 / d_neg if d_neg > 1e-12 else 0.0
-                gp = [r * inv_p for r in rp]
-                gn = [r * inv_n for r in rn]
-                step_p = [lr * g for g in gp]
-                step_n = [lr * g for g in gn]
-                step_pn = [lr * (a - b) for a, b in zip(gp, gn)]
-                # slice assignment keeps each list, so aliases see the update
-                vs[:] = map(sub, vs, step_p)
-                vo[:] = map(add, vo, step_p)
-                vp[:] = map(sub, vp, step_pn)
-                vcs[:] = map(add, vcs, step_n)
-                vco[:] = map(sub, vco, step_n)
-        vec[ids] = [rows[k] for k in keys]
+    for (s, p, o), (cs, _, co) in zip(pos.tolist(), neg.tolist()):
+        vs, vp, vo, vcs, vco = vec[s], vec[p], vec[o], vec[cs], vec[co]
+        rp = vs + vp
+        rp -= vo
+        rn = vcs + vp
+        rn -= vco
+        d_pos = math.sqrt(np.add.accumulate(rp * rp)[-1])
+        d_neg = math.sqrt(np.add.accumulate(rn * rn)[-1])
+        loss = margin + d_pos - d_neg
+        if loss > 0.0:
+            total += loss
+            rp *= 1.0 / d_pos if d_pos > 1e-12 else 0.0
+            rn *= 1.0 / d_neg if d_neg > 1e-12 else 0.0
+            step_pn = (rp - rn) * lr
+            rp *= lr
+            rn *= lr
+            vs -= rp
+            vo += rp
+            vp -= step_pn
+            vcs += rn
+            vco -= rn
     return total / n if n else 0.0
 
 
-sgd_epoch = njit(cache=True)(_sgd_epoch_impl) if NUMBA_ENABLED else _sgd_epoch_lists
+sgd_epoch = njit(cache=True)(_sgd_epoch_impl) if NUMBA_ENABLED else _sgd_epoch_rows
 
 
 # Cells per direction of one cdist output: predicates are scored

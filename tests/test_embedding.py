@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qga import embedding, kernels
 from qga.embedding import (
@@ -53,7 +55,8 @@ def test_zero_epochs_returns_initialization(toy_kg):
 
 
 def reference_sample_negatives(rng, pos, vertex_ids, positive_set):
-    """The per-element numpy sampler: the reference for the list one."""
+    """One scalar ``rng.integers`` draw per try: the reference for the
+    block-drawing sampler."""
     n = pos.shape[0]
     neg = pos.copy()
     sides = rng.integers(0, 2, size=n)
@@ -68,6 +71,51 @@ def reference_sample_negatives(rng, pos, vertex_ids, positive_set):
             if (neg[t, 0], neg[t, 1], neg[t, 2]) not in positive_set:
                 break
     return neg
+
+
+@pytest.mark.parametrize(
+    "high", [2, 3, 53, 10**3, 102_000, 2**31 + 5, 2**32, 2**32 + 3, 2**40]
+)
+def test_an_array_draw_equals_scalar_draws_and_leaves_the_same_state(high):
+    # the block sampler rests on this: k values drawn at once are the k
+    # values of k scalar draws, and the generator ends in the same state
+    for seed in range(5):
+        a = np.random.default_rng(seed)
+        b = np.random.default_rng(seed)
+        a.integers(0, 2, size=3)  # leave a half-used 64-bit word, as sides does
+        b.integers(0, 2, size=3)
+        block = a.integers(0, high, size=17).tolist()
+        assert block == [int(b.integers(0, high)) for _ in range(17)]
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vertices=st.integers(1, 6),
+    preds=st.integers(1, 2),
+    density=st.sampled_from([0.2, 0.6, 1.0]),
+    n=st.integers(1, 12),  # training never samples for an empty store
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(vertices=1, preds=1, density=1.0, n=5, seed=0)  # every try repeats orig
+def test_block_sampler_equals_scalar_draws(vertices, preds, density, n, seed):
+    # dense positives make many tries per row, and one vertex exhausts
+    # NEGATIVE_TRIES on every row, so blocks run out mid-row
+    rng = np.random.default_rng(seed)
+    vertex_ids = list(range(preds, preds + vertices))
+    every = [(s, p, o) for s in vertex_ids for p in range(preds) for o in vertex_ids]
+    keep = rng.random(len(every)) < density
+    positive_set = {t for t, k in zip(every, keep) if k} or {every[0]}
+    stored = sorted(positive_set)
+    pos = np.array([stored[i] for i in rng.integers(0, len(stored), size=n)], dtype=np.int64)
+    pos = pos.reshape(n, 3)
+    a = np.random.default_rng(seed + 1)
+    b = np.random.default_rng(seed + 1)
+    got = embedding._sample_negatives(a, pos, vertex_ids, positive_set)
+    ref = reference_sample_negatives(b, pos, vertex_ids, positive_set)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_training_equals_the_reference_loop_and_sampler_bitwise(

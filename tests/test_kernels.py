@@ -1,6 +1,6 @@
 """The pair-cost grid against per-element and left-to-right references,
-and the SGD epoch (jitted or over float lists) against its interpreted
-reference loop."""
+and the SGD epoch (jitted or stepped a row at a time) against its
+interpreted reference loop."""
 
 import math
 import tracemalloc
@@ -196,7 +196,7 @@ def test_pair_costs_grid_rows_equal_pairs_computed_alone(dim):
 
 
 def test_sgd_epoch_active_matches_interpreted_bitwise():
-    # numba's dispatcher and the list epoch are both distinct from the
+    # numba's dispatcher and the row epoch are both distinct from the
     # reference, so this compares two code paths on every host
     assert kernels.sgd_epoch is not kernels._sgd_epoch_impl
     rng = np.random.default_rng(9)
@@ -217,15 +217,14 @@ def test_sgd_epoch_active_matches_interpreted_bitwise():
     zero_rows=st.integers(0, 8),
     dim=st.sampled_from([1, 2, 5, 32]),
     n=st.integers(0, 40),
-    chunk=st.sampled_from([1, 3, 7, 64]),
     lr=st.sampled_from([0.01, 0.3]),
     margin=st.sampled_from([0.5, 1.0, 4.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(items=1, zero_rows=1, dim=3, n=2, chunk=1, lr=0.3, margin=1.0, seed=0)  # all residuals 0
-@example(items=5, zero_rows=0, dim=1, n=0, chunk=7, lr=0.3, margin=1.0, seed=0)  # n = 0
-@example(items=8, zero_rows=0, dim=32, n=40, chunk=3, lr=0.01, margin=4.0, seed=1)  # 14 chunks
-def test_list_epoch_equals_reference_bitwise(items, zero_rows, dim, n, chunk, lr, margin, seed):
+@example(items=1, zero_rows=1, dim=3, n=2, lr=0.3, margin=1.0, seed=0)  # all residuals 0
+@example(items=5, zero_rows=0, dim=1, n=0, lr=0.3, margin=1.0, seed=0)  # n = 0
+@example(items=8, zero_rows=0, dim=32, n=40, lr=0.01, margin=4.0, seed=1)
+def test_row_epoch_equals_reference_bitwise(items, zero_rows, dim, n, lr, margin, seed):
     # few items, so ids alias (s == o, cs == s, p == o, ...); zeroed rows
     # make zero residuals, the d <= 1e-12 branch
     rng = np.random.default_rng(seed)
@@ -236,38 +235,47 @@ def test_list_epoch_equals_reference_bitwise(items, zero_rows, dim, n, chunk, lr
     neg[:, 0] = rng.integers(0, items, size=n)
     neg[:, 2] = rng.integers(0, items, size=n)
     ref = vec.copy()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "SGD_CHUNK_TRIPLES", chunk)
-        loss = kernels._sgd_epoch_lists(vec, pos, neg, lr, margin)
+    loss = kernels._sgd_epoch_rows(vec, pos, neg, lr, margin)
     ref_loss = kernels._sgd_epoch_impl(ref, pos, neg, lr, margin)
     assert type(loss) is float
     assert loss == ref_loss
     assert vec.tobytes() == ref.tobytes()
 
 
-def _list_epoch_peak(items, chunk, n=1024, dim=8):
+def test_row_epoch_sums_squares_left_to_right():
+    # the positive residual is [1e8, 1, ..., 1]: its squares sum to 1e16 left
+    # to right (each 1.0 is half an ulp and rounds away) but to 1e16 + 28
+    # pairwise, as np.sum does; the negative residual is 0
+    vec = np.zeros((3, 32))
+    vec[0] = [1e8] + [1.0] * 31
+    pos = np.array([[0, 1, 2]])
+    neg = np.array([[2, 1, 2]])
+    ref = vec.copy()
+    loss = kernels._sgd_epoch_rows(vec, pos, neg, 0.01, 1.0)
+    ref_loss = kernels._sgd_epoch_impl(ref, pos, neg, 0.01, 1.0)
+    assert ref_loss == 1.0 + 1e8
+    assert loss == ref_loss
+    assert vec.tobytes() == ref.tobytes()
+
+
+def _row_epoch_peak(items, n=1024, dim=8):
     rng = np.random.default_rng(4)
     vec = rng.normal(size=(items, dim))
     pos = rng.integers(0, items, size=(n, 3))
     neg = pos.copy()
     neg[:, 2] = rng.integers(0, items, size=n)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "SGD_CHUNK_TRIPLES", chunk)
-        tracemalloc.start()
-        try:
-            kernels._sgd_epoch_lists(vec, pos, neg, 0.01, 1.0)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        kernels._sgd_epoch_rows(vec, pos, neg, 0.01, 1.0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
-def test_list_epoch_working_memory_grows_with_the_chunk_not_the_items():
-    # 100x the items leaves the peak flat; 64x the chunk raises it
-    few_items = _list_epoch_peak(2_000, 16)
-    many_items = _list_epoch_peak(200_000, 16)
-    big_chunk = _list_epoch_peak(200_000, 1024)
-    assert many_items < 2 * few_items
-    assert big_chunk > 8 * many_items
+def test_row_epoch_working_memory_does_not_grow_with_the_items():
+    # 100x the items leaves the peak flat: the epoch holds row views and
+    # O(d) temporaries, never a copy of the table
+    assert _row_epoch_peak(200_000) < 2 * _row_epoch_peak(2_000)
 
 
 def test_sgd_epoch_no_violations_no_updates():
