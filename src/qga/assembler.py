@@ -8,7 +8,10 @@ nodes are vertex pairs and whose right nodes are the (condensed) edge sets.
 
 The graph is held as flat arrays sorted by weight, so one query costs O(E)
 memory; two crossing edges conflict when ``compatible_with`` says so, not
-through a stored E x E matrix.  The solver is a best-first branch and bound
+through a stored E x E matrix.  A large graph is sorted by proven intervals
+around its edge costs and costs an edge only when the solver reads it
+(``ensure_exact``); the order and every cost read are those of a graph
+costed in full.  The solver is a best-first branch and bound
 over partial matchings that generates each state's children lazily, with a
 pluggable admissible lower bound (naive / km / greedy).  A brute-force
 oracle, a 3-SAT reduction, and an exact-completion helper for auditing the
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from . import kernels
 from .embedding import DIR_FORWARD, condensed_edge_weights
 from .errors import ResourceLimitError
 
@@ -78,6 +82,31 @@ def build_candidate_sets(aq) -> CandidateSets:
 
 UNBOUND = -2  # slot value for a set the left node does not touch; never an item id or FREE_VAR
 
+# A graph with at most this many crossing edges is costed in full at build,
+# with no bound kernel call: below it the kernel, the interval sort and the
+# refine rounds cost more than the edges they leave uncosted.  Measured on
+# the ambiguous workload's graphs cut to k candidates per vertex set (32
+# dimensions, greedy bound, build plus solve): the lazy build loses 20-100 us
+# per graph up to about 300 edges, is mixed between 300 and 500, and wins by
+# 30-330 us from 600 edges on.  Every mini fixture graph has at most 10 edges.
+EAGER_EDGES = 400
+# A refine round scans at least this many positions: each round costs one
+# cost source call per edge set, whose fixed cost (about 10 us) is that of
+# some 40 rows; 16, 32, 64 and 128 measured within 5% of each other.
+REFINE_MIN_EDGES = 64
+
+
+@dataclass
+class _LazyCosts:
+    """What a graph needs to cost its remaining edges: per edge set, the
+    cost source's ``exact(rows)`` and the position before which every edge
+    of the set is costed; and the costed row of each left node (None when
+    every left node is costed, so the row is the left node)."""
+
+    exact: list
+    costed_to: list
+    rows: np.ndarray | None
+
 
 @dataclass
 class CondensedBipartiteGraph:
@@ -89,21 +118,80 @@ class CondensedBipartiteGraph:
     node ``lefts[e]`` to edge set ``rights[e]``; edges are sorted by
     (weight, left, right).  Memory is O(E + L·n): conflicts are tested on
     demand by ``compatible_with``.
+
+    Edge costs may be computed lazily: ``edge_weights`` holds NaN (and
+    ``edge_best_p``/``edge_direction`` -1) for an edge not costed yet, and
+    every edge before ``exact_upto`` is costed.  The solver calls
+    ``ensure_exact`` before it reads an edge; ``weights``, ``best_p`` and
+    ``direction`` cost every edge first, so any other reader sees exact,
+    complete arrays.
     """
 
     sets: CandidateSets
     left_nodes: np.ndarray  # (L, 4) int64
     slots: np.ndarray  # (L, n) int64
-    weights: np.ndarray  # (E,) float64, nondecreasing
     lefts: np.ndarray  # (E,) int64
     rights: np.ndarray  # (E,) int64
-    best_p: np.ndarray  # (E,) int64
-    direction: np.ndarray  # (E,) int8
+    edge_weights: np.ndarray  # (E,) float64, nondecreasing where costed
+    edge_best_p: np.ndarray  # (E,) int64
+    edge_direction: np.ndarray  # (E,) int8
+    exact_upto: int = 0
+    edges_costed: int = 0  # crossing edges whose cost source computed an exact cost
+    lazy: _LazyCosts | None = None  # None once every edge is costed
 
     @property
     def edges(self) -> range:
         """The crossing edge indices, in weight order."""
-        return range(len(self.weights))
+        return range(len(self.lefts))
+
+    @property
+    def weights(self) -> np.ndarray:
+        ensure_exact(self, len(self.lefts))
+        return self.edge_weights
+
+    @property
+    def best_p(self) -> np.ndarray:
+        ensure_exact(self, len(self.lefts))
+        return self.edge_best_p
+
+    @property
+    def direction(self) -> np.ndarray:
+        ensure_exact(self, len(self.lefts))
+        return self.edge_direction
+
+
+def ensure_exact(graph: CondensedBipartiteGraph, upto: int, right: int | None = None) -> None:
+    """Cost every edge before position ``upto``, or only those of edge set
+    ``right`` when it is given.
+
+    The solver calls it before it reads ``edge_weights``, ``edge_best_p``
+    or ``edge_direction`` at a position below ``upto``.  Each edge set
+    keeps a costed prefix of the weight order; one that must grow grows to
+    at least twice its length and ``REFINE_MIN_EDGES``, so a graph takes
+    O(m log E) cost source calls.
+    """
+    if upto <= graph.exact_upto:
+        return
+    lazy = graph.lazy
+    for r in range(len(lazy.exact)) if right is None else (right,):
+        done = lazy.costed_to[r]
+        if done < upto:
+            grown = min(len(graph.lefts), max(upto, 2 * done, REFINE_MIN_EDGES))
+            _cost_edges(graph, done + np.flatnonzero(graph.rights[done:grown] == r), r)
+            lazy.costed_to[r] = grown
+    graph.exact_upto = min(lazy.costed_to)
+    if graph.exact_upto == len(graph.lefts):
+        graph.lazy = None
+
+
+def _cost_edges(graph: CondensedBipartiteGraph, at: np.ndarray, right: int) -> None:
+    """Cost the edges of edge set ``right`` at positions ``at`` that have no cost yet."""
+    at = at[np.isnan(graph.edge_weights[at])]
+    if len(at):
+        lazy = graph.lazy
+        rows = graph.lefts[at] if lazy.rows is None else lazy.rows[graph.lefts[at]]
+        graph.edge_weights[at], graph.edge_best_p[at], graph.edge_direction[at] = lazy.exact[right](rows)
+        graph.edges_costed += len(at)
 
 
 def compatible_with(graph: CondensedBipartiteGraph, e: int, rest: np.ndarray) -> np.ndarray:
@@ -121,15 +209,26 @@ def compatible_with(graph: CondensedBipartiteGraph, e: int, rest: np.ndarray) ->
 
 
 def build_condensed_graph(sets: CandidateSets, cost_source) -> CondensedBipartiteGraph:
-    """Materialize every vertex pair, weight every crossing edge, and sort.
+    """Materialize every vertex pair, bound or cost every crossing edge, and sort.
 
     ``cost_source(set1, v1, set2, v2, j, predicates)`` is called once per
-    edge set ``j``; its first four arguments are int64 arrays over the left
-    nodes that bind no free variable, and it returns ``(weights, best_p,
-    direction)`` arrays aligned with them.  Pairs involving a synthetic
-    free variable are wired at zero cost with the smallest candidate
-    predicate.  One stable argsort of the (L, m) weight grid, whose flat
-    index is ``left * m + right``, gives the (weight, left, right) order.
+    edge set ``j``; its first four arguments are int64 arrays over the R
+    left nodes that bind no free variable.  It returns ``(bounds, exact)``:
+    ``bounds()`` gives ``(lower, upper)`` arrays over the R rows, each
+    row's cost proven to lie between them, and ``exact(rows)`` gives
+    ``(weights, best_p, direction)`` for the rows that the numpy index
+    ``rows`` (an int64 array or a slice) selects.  Pairs involving a
+    synthetic free variable are wired at zero cost with the smallest
+    candidate predicate.
+
+    A graph of at most ``EAGER_EDGES`` edges is costed in full, and one
+    stable argsort of the (L, m) weight grid, whose flat index is
+    ``left * m + right``, gives the (weight, left, right) order.  A larger
+    one is sorted by lower bound; wherever an edge's interval overlaps one
+    before it, that run of edges is costed now and reordered by (weight,
+    flat index).  Any other edge's interval lies strictly between its
+    neighbours' costs, so the order is the same (weight, left, right) order,
+    and the remaining edges are costed on demand by ``ensure_exact``.
     """
     n, m = sets.n, sets.m
     if m >= 1 and n < 2:
@@ -164,35 +263,115 @@ def build_condensed_graph(sets: CandidateSets, cost_source) -> CondensedBipartit
     if any(FREE_VAR in vs for vs in vertex_sets):
         free = (vertex1 == FREE_VAR) | (vertex2 == FREE_VAR)
         costed = ~free
-    costed_nodes = (set1[costed], vertex1[costed], set2[costed], vertex2[costed])
-    for j, predicates in enumerate(sets.edge_sets):
-        if free is not None:
+        for j, predicates in enumerate(sets.edge_sets):
             best_p[free, j] = min(predicates)
-        if len(costed_nodes[0]):
-            weights[costed, j], best_p[costed, j], direction[costed, j] = cost_source(
-                *costed_nodes, j, predicates
-            )
+    costed_nodes = (set1[costed], vertex1[costed], set2[costed], vertex2[costed])
+    sources = []
+    if len(costed_nodes[0]):
+        sources = [cost_source(*costed_nodes, j, predicates) for j, predicates in enumerate(sets.edge_sets)]
+    lazy = bool(sources) and num_left * m > EAGER_EDGES
 
-    order = np.argsort(weights.ravel(), kind="stable")
+    if lazy:
+        lower = np.zeros((num_left, m))
+        upper = np.zeros((num_left, m))
+        for j, (bounds, _) in enumerate(sources):
+            lower[costed, j], upper[costed, j] = bounds()
+        weights[costed] = np.nan
+        best_p[costed] = -1
+        direction[costed] = -1
+        order = np.argsort(lower.ravel())
+    else:
+        for j, (_, exact) in enumerate(sources):
+            weights[costed, j], best_p[costed, j], direction[costed, j] = exact(slice(None))
+        order = np.argsort(weights.ravel(), kind="stable")
     lefts, rights = np.divmod(order, max(m, 1))
-    return CondensedBipartiteGraph(
+    graph = CondensedBipartiteGraph(
         sets=sets,
         left_nodes=left_nodes,
         slots=slots,
-        weights=weights.ravel()[order],
         lefts=lefts,
         rights=rights,
-        best_p=best_p.ravel()[order],
-        direction=direction.ravel()[order],
+        edge_weights=weights.ravel()[order],
+        edge_best_p=best_p.ravel()[order],
+        edge_direction=direction.ravel()[order],
+        exact_upto=0 if lazy else len(order),
+        edges_costed=0 if lazy else len(costed_nodes[0]) * len(sources),
     )
+    if lazy:
+        rows = None if free is None else np.cumsum(costed) - 1
+        graph.lazy = _LazyCosts([exact for _, exact in sources], [0] * m, rows)
+        _settle_overlaps(graph, order, lower.ravel()[order], upper.ravel()[order])
+    return graph
+
+
+def _settle_overlaps(graph: CondensedBipartiteGraph, order, lower, upper) -> None:
+    """Cost and reorder the runs of edges whose intervals overlap.
+
+    Edges are in lower-bound order.  Edge i + 1 joins the run of edge i
+    when its lower bound is at most the largest upper bound so far; a run
+    is costed and sorted by (weight, flat index).  Between runs every cost
+    is strictly ordered by the intervals, so no edge needs to move across.
+    """
+    joined = lower[1:] <= np.maximum.accumulate(upper)[:-1]
+    at = np.flatnonzero(joined)
+    if not len(at):
+        return
+    members = np.union1d(at, at + 1)
+    rights = graph.rights[members]
+    for r in range(len(graph.lazy.exact)):
+        _cost_edges(graph, members[rights == r], r)
+    starts = np.ones(len(members), dtype=bool)
+    starts[1:] = ~joined[members[1:] - 1]
+    perm = np.lexsort((order[members], graph.edge_weights[members], np.cumsum(starts)))
+    for array in (graph.lefts, graph.rights, graph.edge_weights, graph.edge_best_p, graph.edge_direction):
+        array[members] = array[members[perm]]
+
+
+def exact_costs(weights, best_p, direction):
+    """A cost source's ``(bounds, exact)`` for costs already known exactly:
+    each row's interval is its cost alone."""
+    weights = np.asarray(weights, dtype=np.float64)
+    best_p = np.asarray(best_p, dtype=np.int64)
+    direction = np.asarray(direction, dtype=np.int8)
+    return (lambda: (weights, weights)), (lambda rows: (weights[rows], best_p[rows], direction[rows]))
 
 
 def embedding_cost_source(table):
     """Edge weights from translation embeddings: per left node, the
-    cheapest predicate of the edge set and its direction."""
+    cheapest predicate of the edge set and its direction.
+
+    ``exact`` is ``condensed_edge_weights`` on the rows asked for.  The
+    build calls the source for every edge set before it asks for any
+    bounds, so the first ``bounds()`` call scores every edge set called on
+    the same vertex pairs with one ``kernels.pair_cost_bounds`` call.
+    """
+    pending = []  # (predicates, result) of the edge sets called on `latest`, not yet bounded
+    latest = [None]  # the v1 array of the latest call
 
     def source(set1, v1, set2, v2, j, predicates):
-        return condensed_edge_weights(table, v1, v2, predicates)
+        if not len(predicates):
+            raise ValueError("empty predicate set")
+        if latest[0] is not v1:
+            latest[0] = v1
+            pending.clear()
+        result = []
+        pending.append((predicates, result))
+
+        def bounds():
+            if not result:
+                group = [(predicates, result)]
+                if any(entry is result for _, entry in pending):
+                    group = pending[:]
+                    pending.clear()
+                lower, upper = kernels.pair_cost_bounds(table.vectors, v1, v2, [p for p, _ in group])
+                for (_, entry), lo, hi in zip(group, lower, upper):
+                    entry.extend((lo, hi))
+            return result
+
+        def exact(rows):
+            return condensed_edge_weights(table, v1[rows], v2[rows], predicates)
+
+        return bounds, exact
 
     return source
 
@@ -202,13 +381,7 @@ def table_cost_source(weight_table: dict):
 
     def source(set1, v1, set2, v2, j, predicates):
         keys = zip(set1.tolist(), v1.tolist(), set2.tolist(), v2.tolist())
-        rows = [weight_table[(i1, a, i2, b, j)] for i1, a, i2, b in keys]
-        weights, best_p, direction = zip(*rows)
-        return (
-            np.array(weights, dtype=np.float64),
-            np.array(best_p, dtype=np.int64),
-            np.array(direction, dtype=np.int8),
-        )
+        return exact_costs(*zip(*(weight_table[(i1, a, i2, b, j)] for i1, a, i2, b in keys)))
 
     return source
 
@@ -236,7 +409,8 @@ def naive_lb(state: SearchState, m: int) -> float:
     z = state.compatible
     if len(z) < need:
         return math.inf
-    return state.cost + float(state.graph.weights[z[:need]].sum())
+    ensure_exact(state.graph, int(z[need - 1]) + 1)
+    return state.cost + float(state.graph.edge_weights[z[:need]].sum())
 
 
 def greedy_lb(state: SearchState, m: int) -> float:
@@ -254,10 +428,20 @@ def greedy_lb(state: SearchState, m: int) -> float:
     z = state.compatible
     if len(z) < need:
         return math.inf
-    covered, first = np.unique(state.graph.rights[z], return_index=True)
-    if len(covered) < need:
+    graph = state.graph
+    rights = graph.rights[z]
+    first = {}  # per right node, in increasing order: its first compatible edge
+    for r in range(m):
+        hit = rights == r
+        i = int(hit.argmax())
+        if hit[i]:
+            first[r] = i
+    if len(first) < need:
         return math.inf
-    return state.cost + float(state.graph.weights[z[first]].sum())
+    for r, i in first.items():
+        # right r alone: its first edge may lie deep in the weight order
+        ensure_exact(graph, int(z[i]) + 1, r)
+    return state.cost + float(graph.edge_weights[z[list(first.values())]].sum())
 
 
 def km_lb(state: SearchState, m: int) -> float:
@@ -270,9 +454,10 @@ def km_lb(state: SearchState, m: int) -> float:
     if len(z) < need:
         return math.inf
     graph = state.graph
+    ensure_exact(graph, int(z[-1]) + 1)
     zr = graph.rights[z]
     zl = graph.lefts[z]
-    zw = graph.weights[z]
+    zw = graph.edge_weights[z]
     rows = np.unique(zr)
     if len(rows) < need:
         return math.inf
@@ -365,12 +550,16 @@ class SolveStats:
     bound_evaluations: lower-bound calls, one per child materialized.
     Sibling-stream entries share the queue but are not states: no counter
     includes them.
+    edges_costed: crossing edges of the graph whose exact cost the cost
+    source has computed when the search ends, at build or on demand; the
+    other edges were only ordered by their bounds.
     """
 
     states_pushed: int = 0
     states_popped: int = 0
     states_pruned: int = 0
     bound_evaluations: int = 0
+    edges_costed: int = 0
 
 
 def _graph_from_matched(graph: CondensedBipartiteGraph, matched: tuple[int, ...]) -> QueryGraph:
@@ -379,8 +568,9 @@ def _graph_from_matched(graph: CondensedBipartiteGraph, matched: tuple[int, ...]
     edges = []
     total = 0.0
     for idx in matched:
+        ensure_exact(graph, idx + 1, int(graph.rights[idx]))
         set1, vertex1, set2, vertex2 = graph.left_nodes[graph.lefts[idx]].tolist()
-        weight = float(graph.weights[idx])
+        weight = float(graph.edge_weights[idx])
         chosen[set1] = vertex1
         chosen[set2] = vertex2
         total = total + weight
@@ -390,8 +580,8 @@ def _graph_from_matched(graph: CondensedBipartiteGraph, matched: tuple[int, ...]
                 vertex1=vertex1,
                 set2=set2,
                 vertex2=vertex2,
-                predicate=int(graph.best_p[idx]),
-                direction=int(graph.direction[idx]),
+                predicate=int(graph.edge_best_p[idx]),
+                direction=int(graph.edge_direction[idx]),
                 weight=weight,
             )
         )
@@ -423,7 +613,9 @@ def solve_qga(
     then insertion order — deeper first, so plateaus of equal bounds are
     explored depth-first); the search stops when the head's key reaches the
     incumbent.  ``state_hook`` is called with every popped state (used by
-    the admissibility audit).
+    the admissibility audit).  Every read of an edge's cost is preceded by
+    ``ensure_exact`` for it, so a lazily costed graph costs only the edges
+    the search reads.
     """
     if bound not in LOWER_BOUNDS:
         raise ValueError(f"unknown bound {bound!r}, expected one of {BOUND_NAMES}")
@@ -433,11 +625,11 @@ def solve_qga(
     if m == 0:
         return _graph_from_matched(graph, ()), stats
 
-    weights = graph.weights
+    weights = graph.edge_weights
     root = SearchState(
         graph=graph,
         matched=(),
-        compatible=np.arange(len(weights), dtype=np.int64),
+        compatible=np.arange(len(graph.lefts), dtype=np.int64),
         cost=0.0,
     )
     # entries: (key, cost, -depth, seq, state, t); t < 0 marks a state,
@@ -453,6 +645,7 @@ def solve_qga(
         need = m - len(state.matched)
         if t + need > len(z):
             return
+        ensure_exact(graph, int(z[t + need - 1]) + 1)
         # summed as naive_lb sums child t's bound, so the key never exceeds it
         cost = state.cost + float(weights[z[t]])
         key = cost + float(weights[z[t + 1 : t + need]].sum())
@@ -472,12 +665,13 @@ def solve_qga(
             if m - len(state.matched) > 1:
                 push_siblings(state, 0)
             elif len(z):
+                ensure_exact(graph, int(z[0]) + 1, int(graph.rights[z[0]]))
                 cost = state.cost + float(weights[z[0]])
                 if cost < theta:
                     theta = cost
                     best = state.matched + (int(z[0]),)
             continue
-        e = int(z[t])
+        e = int(z[t])  # costed when entry t was keyed
         rest = z[t + 1 :]
         child = SearchState(
             graph=graph,
@@ -498,9 +692,9 @@ def solve_qga(
         push_siblings(state, t + 1)
 
     stats.states_pruned += sum(1 for entry in heap if entry[5] < 0)
-    if best is None:
-        return None, stats
-    return _graph_from_matched(graph, best), stats
+    query_graph = None if best is None else _graph_from_matched(graph, best)
+    stats.edges_costed = graph.edges_costed
+    return query_graph, stats
 
 
 def optimal_completion_cost(graph: CondensedBipartiteGraph, state: SearchState, m: int) -> float:
@@ -627,10 +821,6 @@ def reduce_3sat(num_vars: int, clauses) -> CondensedBipartiteGraph:
     def source(set1, v1, set2, v2, j, predicates):
         pairs = zip(np.minimum(v1, v2).tolist(), np.maximum(v1, v2).tolist())
         weights = np.array([0.0 if (a, b, j) in zero_pairs else 1.0 for a, b in pairs])
-        return (
-            weights,
-            np.full(len(weights), predicates[0], dtype=np.int64),
-            np.full(len(weights), DIR_FORWARD, dtype=np.int8),
-        )
+        return exact_costs(weights, np.full(len(weights), predicates[0]), np.full(len(weights), DIR_FORWARD))
 
     return build_condensed_graph(sets, source)

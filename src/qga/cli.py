@@ -132,7 +132,8 @@ def cmd_solve(args) -> int:
     if args.stats:
         print(
             f"states pushed={stats.states_pushed} popped={stats.states_popped} "
-            f"pruned={stats.states_pruned} bound_evaluations={stats.bound_evaluations}"
+            f"pruned={stats.states_pruned} bound_evaluations={stats.bound_evaluations} "
+            f"edges_costed={stats.edges_costed} of {len(graph.edges)}"
         )
     if q is None:
         print("infeasible: no conflict-free size-m matching")
@@ -232,7 +233,8 @@ def cmd_query(args) -> int:
             print(
                 f"    cost={cand.assembled_cost:.4f} predicted={cand.predicted_cost:.4f} "
                 f"normalized={cand.normalized_cost:.4f} "
-                f"states popped={cand.stats.states_popped}"
+                f"states popped={cand.stats.states_popped} "
+                f"edges costed={cand.stats.edges_costed}"
             )
             for e in cand.query_graph.all_edges:
                 tag = " (predicted)" if e.predicted else ""

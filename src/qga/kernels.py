@@ -1,6 +1,6 @@
 """Numeric hot kernels.
 
-Two kernels carry essentially all the floating-point work:
+Three kernels carry essentially all the floating-point work:
 
 * ``sgd_epoch`` — one margin-ranking SGD epoch over pre-sampled
   positive/negative triple pairs (sequential, order-dependent).  It is
@@ -20,10 +20,19 @@ Two kernels carry essentially all the floating-point work:
   squares summed left to right, the order ``_sgd_epoch_impl`` uses, so its
   result does not depend on R or P.  Predicates are taken in chunks of
   ``PAIR_COST_CELLS // R``, which bounds the cells of each ``cdist`` output.
+  It is the only kernel whose numbers are reported as costs.
+* ``pair_cost_bounds`` — for R vertex pairs and several predicate sets, an
+  interval ``[lower, upper]`` proven to hold the condensed cost that
+  ``pair_costs`` would report (the min of a grid row).  It reads the
+  squared residuals off a Gram form, ``|delta|^2 + |q|^2 - 2|delta . q|``,
+  with one BLAS product for all the sets, and widens them by a margin that
+  covers the rounding of both forms.  Its numbers only order and skip
+  work; they are never reported.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -168,3 +177,91 @@ def pair_costs(vec: np.ndarray, v1, v2, preds):
         np.less(cr, cf, out=reverse[:, lo:hi])
         np.minimum(cf, cr, out=costs[:, lo:hi])
     return costs, dirs
+
+
+# Margin of pair_cost_bounds, in the squared domain, for d-dimensional
+# vectors; u = eps / 2 is the unit roundoff and gamma_k = k u / (1 - k u).
+# Both forms start from the same rounded differences delta.  Write
+# S = |delta|^2 + max |q|^2 over the set, and s = |delta|^2 + |q|^2 -
+# 2 |delta . q|, the exact squared cost of predicate q in its cheaper
+# direction.
+#
+# * Gram form (any summation order, blocked BLAS or FMA: Higham, "Accuracy
+#   and Stability of Numerical Algorithms", 2002, ch. 3): |delta|^2 and
+#   |q|^2 are within gamma_d of themselves, delta . q within gamma_d
+#   |delta| |q| <= gamma_d S / 2, so 2 |delta . q| within gamma_d S.  The
+#   sums |q|^2 - 2 |g| and then + |delta|^2 add u (|delta|^2 + 2 |q|^2)
+#   <= 2 u S and u S.  In all, |est - s| <= (2d + 5) u S for every q,
+#   hence for the min over the set (rounding is monotone).
+# * Direct form (pair_costs): each square (delta_i -+ q_i)^2 is within
+#   gamma_3, the d-term sum of non-negative terms within gamma_(d+2) in any
+#   order, and the min over directions and predicates of a correctly
+#   rounded sqrt is the sqrt of the min.  So its squared cost is within
+#   (d + 2) u w^2 <= (d + 2) u S of the true min w^2.
+# * Rounding est -+ M adds u (est + M) <= 2 u S.
+#
+# That needs M >= (3d + 9) u S up to O(d^2 u^2); M = (4d + 12) u S' =
+# 2 (d + 3) eps S', with S' the computed S (within gamma_(d+1) of S), leaves
+# d + 3 units of slack for every second-order term.  Below 2^-1022 the
+# bounds above hold only up to an absolute error of 2^-1075 per rounding;
+# fewer than 10 (d + 1) roundings reach one cost, so M also adds 16 (d + 1)
+# times the smallest subnormal.
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
+
+
+def pair_cost_bounds(vec: np.ndarray, v1, v2, pred_sets):
+    """Intervals around the condensed costs of R vertex pairs.
+
+    ``pred_sets`` holds m non-empty sequences of predicate ids.  Returns
+    ``(lower, upper)``, both (m, R): for every pair r and set j, the cost
+    ``pair_costs(vec, v1[r], v2[r], pred_sets[j]).min()`` lies in
+    ``[lower[j, r], upper[j, r]]`` (see the margin derivation above).  An
+    estimate that overflows gives ``[0, inf]``.  The predicates of all
+    sets share one ``q @ delta.T`` product per chunk of at most
+    ``PAIR_COST_CELLS`` cells.
+    """
+    v1 = np.asarray(v1, dtype=np.int64)
+    v2 = np.asarray(v2, dtype=np.int64)
+    sizes = [len(p) for p in pred_sets]
+    q = vec.take(np.concatenate(pred_sets), axis=0)
+    nq = np.einsum("ij,ij->i", q, q)[:, None]
+    # times 2 is exact, so the product below is 2 (delta . q); BLAS reads
+    # a column-major q faster for this (predicates, pairs) shape
+    q = np.asfortranarray(q * 2.0)
+    scale = 2 * (vec.shape[1] + 3) * _EPS
+    # M = scale * (|delta|^2 + max |q|^2) + tiny: a term per set plus one per pair
+    per_set = np.array([nq[end - k : end].max() for end, k in zip(itertools.accumulate(sizes), sizes)])
+    per_set *= scale
+    per_set += 16 * (vec.shape[1] + 1) * _TINY
+    n, m = len(v1), len(sizes)
+    lower = np.empty((m, n))
+    upper = np.empty((m, n))
+    step = max(1, PAIR_COST_CELLS // len(q))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        delta = vec.take(v1[lo:hi], axis=0)
+        delta -= vec.take(v2[lo:hi], axis=0)
+        nd = np.einsum("ij,ij->i", delta, delta)
+        g = q @ delta.T  # (predicates, pairs)
+        np.abs(g, out=g)
+        np.subtract(nq, g, out=g)
+        est = upper[:, lo:hi]
+        end = 0
+        for j, k in enumerate(sizes):
+            np.minimum.reduce(g[end : end + k], axis=0, out=est[j])
+            end += k
+        est += nd
+        nd *= scale
+        margin = np.add.outer(per_set, nd)
+        np.subtract(est, margin, out=lower[:, lo:hi])
+        est += margin
+    # an overflowed estimate (inf or nan) proves nothing
+    unproven = ~np.isfinite(upper)
+    if unproven.any():
+        lower[unproven] = 0.0
+        upper[unproven] = np.inf
+    np.maximum(lower, 0.0, out=lower)
+    np.sqrt(lower, out=lower)
+    np.sqrt(upper, out=upper)
+    return lower, upper

@@ -17,6 +17,7 @@ from qga.assembler import (
     brute_force_oracle,
     build_condensed_graph,
     embedding_cost_source,
+    exact_costs,
     solve_qga,
     table_cost_source,
 )
@@ -104,7 +105,7 @@ def test_batched_build_equals_per_cell_reference(case):
 
 
 def zero_cost_source(set1, v1, set2, v2, j, predicates):
-    return np.zeros(len(v1)), np.full(len(v1), min(predicates)), np.zeros(len(v1), dtype=np.int8)
+    return exact_costs(np.zeros(len(v1)), np.full(len(v1), min(predicates)), np.zeros(len(v1)))
 
 
 @PROPERTY_SETTINGS

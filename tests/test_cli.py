@@ -66,6 +66,7 @@ def test_query_end_to_end(tmp_path, capsys):
     assert "SELECT" in captured
     assert "res:University_of_Cambridge" in captured
     assert "res:University_of_Oxford" in captured
+    assert re.search(r"edges costed=\d+", captured)
     assert sparql_out.read_text().startswith("SELECT")
 
 
@@ -93,6 +94,7 @@ def test_solve_dumped_instance(tmp_path, capsys):
     assert code == 0
     assert "optimal cost" in captured
     assert "states pushed" in captured
+    assert re.search(r"edges_costed=\d+ of \d+", captured)
     edge_lines = [line for line in captured.splitlines() if line.startswith("predicate ")]
     assert len(edge_lines) == sets.m
     found = re.fullmatch(r"predicate (\d+): \((\d+):(\d+)\) (->|<-) \((\d+):(\d+)\) weight \S+", edge_lines[0])

@@ -306,3 +306,74 @@ def test_pair_costs_direction_flag():
         vec, np.array([1]), np.array([0]), np.array([2])
     )
     assert costs[0, 0] == 0.0 and dirs[0, 0] == 1
+
+
+def condensed_costs(vec, v1, v2, pred_sets):
+    """The (m, R) condensed costs: per pair, the min of its ``pair_costs`` row."""
+    return np.array([kernels.pair_costs(vec, v1, v2, preds)[0].min(axis=1) for preds in pred_sets])
+
+
+def assert_within_bounds(vec, v1, v2, pred_sets):
+    lower, upper = kernels.pair_cost_bounds(vec, v1, v2, pred_sets)
+    costs = condensed_costs(vec, v1, v2, pred_sets)
+    assert lower.shape == upper.shape == costs.shape
+    assert (lower <= costs).all() and (costs <= upper).all()
+    return lower, upper, costs
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2, 3, 32, 257]),
+    eps=st.sampled_from([1e-2, 1e-8, 1e-14, 1e-300, 0.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim=32, eps=0.0, seed=0)
+def test_pair_cost_bounds_hold_the_direct_form_cost_near_zero(dim, eps, seed):
+    # v2 = v1 + p + eps * r puts the forward cost near zero, where the Gram
+    # estimate cancels to noise: the margin must still cover both forms
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-8, 6, size=dim)
+    v1, p, r = (rng.normal(size=(4, dim)) * scale for _ in range(3))
+    vec = np.concatenate((v1, v1 + p + eps * r, p, -p, np.nextafter(p, np.inf)))
+    pairs = np.arange(4)
+    pred_sets = [np.arange(8, 12), np.array([12]), np.arange(13, 20, 2)]
+    assert_within_bounds(vec, pairs, pairs + 4, pred_sets)
+    assert_within_bounds(vec, pairs + 4, pairs, pred_sets)
+    assert_within_bounds(vec, pairs, pairs, pred_sets)  # v1 == v2: the cost is |p|
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e-155])
+def test_pair_cost_bounds_hold_where_squares_underflow(scale):
+    vec, v1, v2, p = random_inputs(5, dim=32)
+    vec = vec * scale
+    lower, upper, costs = assert_within_bounds(vec, v1, v2, [p[:3], p[3:]])
+    assert (upper > 0).all()
+
+
+def test_pair_cost_bounds_give_up_where_the_estimate_overflows():
+    vec, v1, v2, p = random_inputs(6, dim=8)
+    big = v1[0]
+    vec[p[0]] = vec[big] * 1e154  # |q|^2 and delta . q overflow, the direct form may not
+    vec[big] *= 1e154
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, upper, _ = assert_within_bounds(vec, v1, v2, [p[:1], p[1:]])
+    assert lower[0, 0] == 0.0 and upper[0, 0] == math.inf
+    # the other set's rows that touch no large vector stay proven
+    small = ~np.isin(v1, (big, p[0])) & ~np.isin(v2, (big, p[0]))
+    assert not np.isin(p[1:], (big, p[0])).any() and small.any()
+    assert np.isfinite(upper[1, small]).all()
+
+
+def test_pair_cost_bounds_separate_random_costs_with_few_rounding_units():
+    vec, v1, v2, p = random_inputs(7, items=60, dim=32, pairs=500, preds=20)
+    lower, upper, costs = assert_within_bounds(vec, v1, v2, [p[:10], p[10:]])
+    assert ((upper - lower) <= 1e-12 * costs).all()
+
+
+def test_pair_cost_bounds_working_memory_stays_within_the_chunk(monkeypatch):
+    monkeypatch.setattr(kernels, "PAIR_COST_CELLS", 64)
+    vec, v1, v2, p = random_inputs(8, pairs=101)
+    lower, upper = kernels.pair_cost_bounds(vec, v1, v2, [p[:4], p[4:]])
+    monkeypatch.setattr(kernels, "PAIR_COST_CELLS", 1 << 16)
+    whole = kernels.pair_cost_bounds(vec, v1, v2, [p[:4], p[4:]])
+    assert lower.tobytes() == whole[0].tobytes() and upper.tobytes() == whole[1].tobytes()
