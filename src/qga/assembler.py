@@ -91,19 +91,19 @@ UNBOUND = -2  # slot value for a set the left node does not touch; never an item
 # 30-330 us from 600 edges on.  Every mini fixture graph has at most 10 edges.
 EAGER_EDGES = 400
 # A refine round scans at least this many positions: each round costs one
-# cost source call per edge set, whose fixed cost (about 10 us) is that of
+# ``exact`` call per edge set, whose fixed cost (about 10 us) is that of
 # some 40 rows; 16, 32, 64 and 128 measured within 5% of each other.
 REFINE_MIN_EDGES = 64
 
 
 @dataclass
 class _LazyCosts:
-    """What a graph needs to cost its remaining edges: per edge set, the
-    cost source's ``exact(rows)`` and the position before which every edge
+    """What a graph needs to cost its remaining edges: the cost source's
+    ``exact(j, rows)``; per edge set, the position before which every edge
     of the set is costed; and the costed row of each left node (None when
     every left node is costed, so the row is the left node)."""
 
-    exact: list
+    exact: object
     costed_to: list
     rows: np.ndarray | None
 
@@ -168,12 +168,12 @@ def ensure_exact(graph: CondensedBipartiteGraph, upto: int, right: int | None = 
     or ``edge_direction`` at a position below ``upto``.  Each edge set
     keeps a costed prefix of the weight order; one that must grow grows to
     at least twice its length and ``REFINE_MIN_EDGES``, so a graph takes
-    O(m log E) cost source calls.
+    O(m log E) ``exact`` calls.
     """
     if upto <= graph.exact_upto:
         return
     lazy = graph.lazy
-    for r in range(len(lazy.exact)) if right is None else (right,):
+    for r in range(graph.sets.m) if right is None else (right,):
         done = lazy.costed_to[r]
         if done < upto:
             grown = min(len(graph.lefts), max(upto, 2 * done, REFINE_MIN_EDGES))
@@ -190,7 +190,7 @@ def _cost_edges(graph: CondensedBipartiteGraph, at: np.ndarray, right: int) -> N
     if len(at):
         lazy = graph.lazy
         rows = graph.lefts[at] if lazy.rows is None else lazy.rows[graph.lefts[at]]
-        graph.edge_weights[at], graph.edge_best_p[at], graph.edge_direction[at] = lazy.exact[right](rows)
+        graph.edge_weights[at], graph.edge_best_p[at], graph.edge_direction[at] = lazy.exact(right, rows)
         graph.edges_costed += len(at)
 
 
@@ -211,15 +211,15 @@ def compatible_with(graph: CondensedBipartiteGraph, e: int, rest: np.ndarray) ->
 def build_condensed_graph(sets: CandidateSets, cost_source) -> CondensedBipartiteGraph:
     """Materialize every vertex pair, bound or cost every crossing edge, and sort.
 
-    ``cost_source(set1, v1, set2, v2, j, predicates)`` is called once per
-    edge set ``j``; its first four arguments are int64 arrays over the R
-    left nodes that bind no free variable.  It returns ``(bounds, exact)``:
-    ``bounds()`` gives ``(lower, upper)`` arrays over the R rows, each
-    row's cost proven to lie between them, and ``exact(rows)`` gives
-    ``(weights, best_p, direction)`` for the rows that the numpy index
-    ``rows`` (an int64 array or a slice) selects.  Pairs involving a
-    synthetic free variable are wired at zero cost with the smallest
-    candidate predicate.
+    ``cost_source(set1, v1, set2, v2, edge_sets)`` is called once per
+    graph, when it has an edge set and a left node that binds no free
+    variable; its first four arguments are int64 arrays over the R such
+    left nodes.  It returns ``(bounds, exact)``: ``bounds()`` gives
+    ``(lower, upper)`` as (m, R) arrays, each cost proven to lie between
+    them, and ``exact(j, rows)`` gives ``(weights, best_p, direction)``
+    for edge set ``j`` on the rows that the numpy index ``rows`` (an int64
+    array or a slice) selects.  Pairs involving a synthetic free variable
+    are wired at zero cost with the smallest candidate predicate.
 
     A graph of at most ``EAGER_EDGES`` edges is costed in full, and one
     stable argsort of the (L, m) weight grid, whose flat index is
@@ -266,23 +266,23 @@ def build_condensed_graph(sets: CandidateSets, cost_source) -> CondensedBipartit
         for j, predicates in enumerate(sets.edge_sets):
             best_p[free, j] = min(predicates)
     costed_nodes = (set1[costed], vertex1[costed], set2[costed], vertex2[costed])
-    sources = []
-    if len(costed_nodes[0]):
-        sources = [cost_source(*costed_nodes, j, predicates) for j, predicates in enumerate(sets.edge_sets)]
-    lazy = bool(sources) and num_left * m > EAGER_EDGES
+    lazy = False
+    if m and len(costed_nodes[0]):
+        bounds, exact = cost_source(*costed_nodes, sets.edge_sets)
+        lazy = num_left * m > EAGER_EDGES
+        for j in range(0 if lazy else m):
+            weights[costed, j], best_p[costed, j], direction[costed, j] = exact(j, slice(None))
 
     if lazy:
         lower = np.zeros((num_left, m))
         upper = np.zeros((num_left, m))
-        for j, (bounds, _) in enumerate(sources):
-            lower[costed, j], upper[costed, j] = bounds()
+        lo, hi = bounds()
+        lower[costed], upper[costed] = lo.T, hi.T
         weights[costed] = np.nan
         best_p[costed] = -1
         direction[costed] = -1
         order = np.argsort(lower.ravel())
     else:
-        for j, (_, exact) in enumerate(sources):
-            weights[costed, j], best_p[costed, j], direction[costed, j] = exact(slice(None))
         order = np.argsort(weights.ravel(), kind="stable")
     lefts, rights = np.divmod(order, max(m, 1))
     graph = CondensedBipartiteGraph(
@@ -295,11 +295,11 @@ def build_condensed_graph(sets: CandidateSets, cost_source) -> CondensedBipartit
         edge_best_p=best_p.ravel()[order],
         edge_direction=direction.ravel()[order],
         exact_upto=0 if lazy else len(order),
-        edges_costed=0 if lazy else len(costed_nodes[0]) * len(sources),
+        edges_costed=0 if lazy else len(costed_nodes[0]) * m,
     )
     if lazy:
         rows = None if free is None else np.cumsum(costed) - 1
-        graph.lazy = _LazyCosts([exact for _, exact in sources], [0] * m, rows)
+        graph.lazy = _LazyCosts(exact, [0] * m, rows)
         _settle_overlaps(graph, order, lower.ravel()[order], upper.ravel()[order])
     return graph
 
@@ -318,7 +318,7 @@ def _settle_overlaps(graph: CondensedBipartiteGraph, order, lower, upper) -> Non
         return
     members = np.union1d(at, at + 1)
     rights = graph.rights[members]
-    for r in range(len(graph.lazy.exact)):
+    for r in range(graph.sets.m):
         _cost_edges(graph, members[rights == r], r)
     starts = np.ones(len(members), dtype=bool)
     starts[1:] = ~joined[members[1:] - 1]
@@ -328,50 +328,29 @@ def _settle_overlaps(graph: CondensedBipartiteGraph, order, lower, upper) -> Non
 
 
 def exact_costs(weights, best_p, direction):
-    """A cost source's ``(bounds, exact)`` for costs already known exactly:
-    each row's interval is its cost alone."""
+    """A cost source's ``(bounds, exact)`` for (m, R) grids of costs already
+    known exactly: each interval is its cost alone."""
     weights = np.asarray(weights, dtype=np.float64)
     best_p = np.asarray(best_p, dtype=np.int64)
     direction = np.asarray(direction, dtype=np.int8)
-    return (lambda: (weights, weights)), (lambda rows: (weights[rows], best_p[rows], direction[rows]))
+    return (lambda: (weights, weights)), (lambda j, rows: (weights[j, rows], best_p[j, rows], direction[j, rows]))
 
 
 def embedding_cost_source(table):
-    """Edge weights from translation embeddings: per left node, the
-    cheapest predicate of the edge set and its direction.
+    """Edge weights from translation embeddings: per left node and edge
+    set, the cheapest predicate of the set and its direction.
 
-    ``exact`` is ``condensed_edge_weights`` on the rows asked for.  The
-    build calls the source for every edge set before it asks for any
-    bounds, so the first ``bounds()`` call scores every edge set called on
-    the same vertex pairs with one ``kernels.pair_cost_bounds`` call.
+    ``bounds`` is one ``kernels.pair_cost_bounds`` call over every edge
+    set; ``exact`` is ``condensed_edge_weights`` on the rows asked for.
     """
-    pending = []  # (predicates, result) of the edge sets called on `latest`, not yet bounded
-    latest = [None]  # the v1 array of the latest call
 
-    def source(set1, v1, set2, v2, j, predicates):
-        if not len(predicates):
+    def source(set1, v1, set2, v2, edge_sets):
+        if not all(map(len, edge_sets)):
             raise ValueError("empty predicate set")
-        if latest[0] is not v1:
-            latest[0] = v1
-            pending.clear()
-        result = []
-        pending.append((predicates, result))
-
-        def bounds():
-            if not result:
-                group = [(predicates, result)]
-                if any(entry is result for _, entry in pending):
-                    group = pending[:]
-                    pending.clear()
-                lower, upper = kernels.pair_cost_bounds(table.vectors, v1, v2, [p for p, _ in group])
-                for (_, entry), lo, hi in zip(group, lower, upper):
-                    entry.extend((lo, hi))
-            return result
-
-        def exact(rows):
-            return condensed_edge_weights(table, v1[rows], v2[rows], predicates)
-
-        return bounds, exact
+        return (
+            lambda: kernels.pair_cost_bounds(table.vectors, v1, v2, edge_sets),
+            lambda j, rows: condensed_edge_weights(table, v1[rows], v2[rows], edge_sets[j]),
+        )
 
     return source
 
@@ -379,9 +358,11 @@ def embedding_cost_source(table):
 def table_cost_source(weight_table: dict):
     """Cost source backed by a dict keyed (set1, v1, set2, v2, j)."""
 
-    def source(set1, v1, set2, v2, j, predicates):
-        keys = zip(set1.tolist(), v1.tolist(), set2.tolist(), v2.tolist())
-        return exact_costs(*zip(*(weight_table[(i1, a, i2, b, j)] for i1, a, i2, b in keys)))
+    def source(set1, v1, set2, v2, edge_sets):
+        keys = list(zip(set1.tolist(), v1.tolist(), set2.tolist(), v2.tolist()))
+        cells = ([weight_table[(i1, a, i2, b, j)] for i1, a, i2, b in keys] for j in range(len(edge_sets)))
+        # per edge set, its row of (weight, best_p, direction) triples split in three
+        return exact_costs(*zip(*(zip(*row) for row in cells)))
 
     return source
 
@@ -818,9 +799,10 @@ def reduce_3sat(num_vars: int, clauses) -> CondensedBipartiteGraph:
         for lit in clause
     }
 
-    def source(set1, v1, set2, v2, j, predicates):
-        pairs = zip(np.minimum(v1, v2).tolist(), np.maximum(v1, v2).tolist())
-        weights = np.array([0.0 if (a, b, j) in zero_pairs else 1.0 for a, b in pairs])
-        return exact_costs(weights, np.full(len(weights), predicates[0]), np.full(len(weights), DIR_FORWARD))
+    def source(set1, v1, set2, v2, edge_sets):
+        pairs = list(zip(np.minimum(v1, v2).tolist(), np.maximum(v1, v2).tolist()))
+        weights = [[0.0 if (a, b, j) in zero_pairs else 1.0 for a, b in pairs] for j in range(q)]
+        best_p = np.repeat([[p[0]] for p in edge_sets], len(pairs), axis=1)
+        return exact_costs(weights, best_p, np.full(best_p.shape, DIR_FORWARD))
 
     return build_condensed_graph(sets, source)

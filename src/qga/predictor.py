@@ -73,7 +73,7 @@ def _endpoints(q: QueryGraph, s: int, fixed: dict, table) -> list[tuple[int, int
     return sorted((v, s) for v in q.sets.vertex_sets[s] if 0 <= v < size and has[v])
 
 
-def _best_bridge(table, predicates: np.ndarray, left, right) -> AssembledEdge:
+def _best_bridge(table, predicates: list[int], left, right) -> AssembledEdge:
     """Cheapest (v_i, v_j, p) over left x right x predicates, as a predicted
     edge.
 
@@ -100,13 +100,15 @@ def _best_bridge(table, predicates: np.ndarray, left, right) -> AssembledEdge:
     )
 
 
-def _vectored_predicates(table, predicates) -> np.ndarray:
-    """The catalog predicates that have a vector, sorted by id."""
+def _vectored_predicates(table, predicates) -> list[int]:
+    """The catalog predicates that have a vector, sorted by id, as Python
+    ints: ``condensed_edge_weights`` sorts them again on every call, and
+    ``sorted`` compares ints faster than numpy scalars."""
     preds = np.array(sorted(predicates), dtype=np.int64)
     preds = preds[table.has_vector(preds)]
     if len(preds) == 0:
         raise UnknownItemError("no predicate in the catalog has a vector")
-    return preds
+    return preds.tolist()
 
 
 def build_prediction_graph(components, table, predicates, q: QueryGraph) -> dict:

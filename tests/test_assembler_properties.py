@@ -104,8 +104,9 @@ def test_batched_build_equals_per_cell_reference(case):
         assert graph.slots[left].tolist() == expect
 
 
-def zero_cost_source(set1, v1, set2, v2, j, predicates):
-    return exact_costs(np.zeros(len(v1)), np.full(len(v1), min(predicates)), np.zeros(len(v1)))
+def zero_cost_source(set1, v1, set2, v2, edge_sets):
+    shape = (len(edge_sets), len(v1))
+    return exact_costs(np.zeros(shape), np.repeat([[min(p)] for p in edge_sets], len(v1), axis=1), np.zeros(shape))
 
 
 @PROPERTY_SETTINGS

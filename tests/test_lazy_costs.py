@@ -184,3 +184,58 @@ def test_a_matching_is_read_with_exact_costs():
     last = len(lazy.lefts) - 1
     assert np.isnan(lazy.edge_weights[last])
     assert assembler._graph_from_matched(lazy, (last,)) == assembler._graph_from_matched(full, (last,))
+
+
+def logged(source, log):
+    """``source`` behind a wrapper that logs each call and each ``bounds()``."""
+
+    def wrapped(*args):
+        log.append("source")
+        bounds, exact = source(*args)
+        return (lambda: log.append("bounds") or bounds()), exact
+
+    return wrapped
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_the_cost_source_is_called_once_per_graph(monkeypatch, lazy):
+    """One call for the whole graph, eager or lazy; an eager graph never
+    asks for bounds, so it never runs the bound kernel."""
+    bound_calls = []
+    real_bounds = kernels.pair_cost_bounds
+    monkeypatch.setattr(kernels, "pair_cost_bounds", lambda *a: bound_calls.append(1) or real_bounds(*a))
+    monkeypatch.setattr(assembler, "EAGER_EDGES", 0 if lazy else 10**9)
+    sets, table = ambiguous_shaped(np.random.default_rng(0), n=3, m=2)
+    log = []
+    graph = build_condensed_graph(sets, logged(embedding_cost_source(table), log))
+    solve_qga(graph, "greedy")
+    assert log == (["source", "bounds"] if lazy else ["source"])
+    assert len(bound_calls) == lazy
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_the_cost_source_is_not_called_when_every_pair_binds_a_free_variable(monkeypatch, lazy):
+    monkeypatch.setattr(assembler, "EAGER_EDGES", 0 if lazy else 10**9)
+    _, table = ambiguous_shaped(np.random.default_rng(0))
+    log = []
+    for sets in (
+        CandidateSets([(0, 1, 2), (FREE_VAR,)], [(40, 41)]),
+        CandidateSets([(FREE_VAR,), (FREE_VAR,)], [(40,), (41, 42)]),
+        CandidateSets([(0, 1), (10, 11)], []),
+    ):
+        graph = build_condensed_graph(sets, logged(embedding_cost_source(table), log))
+        solve_qga(graph, "greedy")
+    assert log == []
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_an_empty_predicate_set_is_rejected_before_any_kernel_call(monkeypatch, lazy):
+    calls = []
+    monkeypatch.setattr(kernels, "pair_costs", lambda *a: calls.append("pair_costs"))
+    monkeypatch.setattr(kernels, "pair_cost_bounds", lambda *a: calls.append("pair_cost_bounds"))
+    monkeypatch.setattr(assembler, "EAGER_EDGES", 0 if lazy else 10**9)
+    sets, table = ambiguous_shaped(np.random.default_rng(0), n=3, m=2)
+    sets.edge_sets[1] = ()
+    with pytest.raises(ValueError, match="empty predicate set"):
+        build_condensed_graph(sets, embedding_cost_source(table))
+    assert calls == []

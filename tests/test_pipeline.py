@@ -317,7 +317,7 @@ def test_programming_error_in_cost_source_propagates(monkeypatch, mini_kg, mini_
     for error in (TypeError, ValueError):
 
         def broken_cost_source(table):
-            def source(set1, v1, set2, v2, j, predicates):
+            def source(set1, v1, set2, v2, edge_sets):
                 raise error("cost source bug")
 
             return source
