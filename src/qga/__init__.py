@@ -37,7 +37,8 @@ from .lexicon import (
     generate_candidate_terms,
     rank_segmentations,
 )
-from .pipeline import PipelineConfig, answer_keywords, bench_lower_bounds
+from .instances import bench_lower_bounds
+from .pipeline import PipelineConfig, answer_keywords
 from .predictor import build_prediction_graph, connected_components, mst_connect
 from .sparql import StructuredQuery, emit_sparql, evaluate_bgp
 from .store import KnowledgeGraph, load_triples

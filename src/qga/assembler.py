@@ -13,9 +13,11 @@ around its edge costs and costs an edge only when the solver reads it
 (``ensure_exact``); the order and every cost read are those of a graph
 costed in full.  The solver is a best-first branch and bound
 over partial matchings that generates each state's children lazily, with a
-pluggable admissible lower bound (naive / km / greedy).  A brute-force
-oracle, a 3-SAT reduction, and an exact-completion helper for auditing the
-bounds live here as well.
+pluggable admissible lower bound (naive / km / greedy).  Edge costs come
+from a cost source: ``embedding_cost_source`` on the query path, and
+sources built on ``exact_costs`` for the 3-SAT reduction here and the
+weight tables of ``instances``.  A brute-force oracle, the solver's
+reference, lives here as well.
 """
 
 from __future__ import annotations
@@ -355,18 +357,6 @@ def embedding_cost_source(table):
     return source
 
 
-def table_cost_source(weight_table: dict):
-    """Cost source backed by a dict keyed (set1, v1, set2, v2, j)."""
-
-    def source(set1, v1, set2, v2, edge_sets):
-        keys = list(zip(set1.tolist(), v1.tolist(), set2.tolist(), v2.tolist()))
-        cells = ([weight_table[(i1, a, i2, b, j)] for i1, a, i2, b in keys] for j in range(len(edge_sets)))
-        # per edge set, its row of (weight, best_p, direction) triples split in three
-        return exact_costs(*zip(*(zip(*row) for row in cells)))
-
-    return source
-
-
 # -- search states and lower bounds ----------------------------------------
 
 
@@ -676,38 +666,6 @@ def solve_qga(
     query_graph = None if best is None else _graph_from_matched(graph, best)
     stats.edges_costed = graph.edges_costed
     return query_graph, stats
-
-
-def optimal_completion_cost(graph: CondensedBipartiteGraph, state: SearchState, m: int) -> float:
-    """Exact cheapest total cost reachable from ``state``; +inf when none.
-
-    Brute force over the state's compatible edges, used to audit the lower
-    bounds.
-    """
-    need = m - len(state.matched)
-    if need <= 0:
-        return state.cost
-    weights = graph.weights
-    best = math.inf
-
-    def rec(z: np.ndarray, acc: float, left: int) -> None:
-        nonlocal best
-        if left == 0:
-            if acc < best:
-                best = acc
-            return
-        if len(z) < left:
-            return
-        for t in range(len(z) - left + 1):
-            e = int(z[t])
-            nxt = acc + float(weights[e])
-            if nxt >= best:
-                break  # weights ascending: later starts cost at least this
-            rest = z[t + 1 :]
-            rec(rest[compatible_with(graph, e, rest)], nxt, left - 1)
-
-    rec(state.compatible, state.cost, need)
-    return best
 
 
 def brute_force_oracle(graph: CondensedBipartiteGraph, cap: int = 10_000_000):

@@ -14,19 +14,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .assembler import (
-    BOUND_NAMES,
-    brute_force_oracle,
-    build_condensed_graph,
-    reduce_3sat,
-    solve_qga,
-    table_cost_source,
-)
+from .assembler import BOUND_NAMES, brute_force_oracle, build_condensed_graph, reduce_3sat, solve_qga
 from .embedding import TrainConfig, load_table, save_table, train_transe
 from .errors import InfeasibleAssemblyError, QgaError, UninterpretableQueryError
-from .instances import build_random_graph, load_instance
+from .instances import bench_lower_bounds, build_random_graph, load_instance, table_cost_source
 from .lexicon import build_lexicon
-from .pipeline import PipelineConfig, answer_keywords, bench_lower_bounds
+from .pipeline import PipelineConfig, answer_keywords
 from .sat import parse_dimacs, truth_table_satisfiable
 from .sparql import bindings_to_tsv
 from .store import DEFAULT_TYPE_PREDICATE, load_triples
@@ -151,6 +144,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    for flag, value, low in (("--n-max", args.n_max, 2), ("--m-max", args.m_max, 1), ("--k-max", args.k_max, 1)):
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}")
     rng = np.random.default_rng(args.seed)
     failures = 0
     for i in range(args.instances):
@@ -162,12 +158,7 @@ def cmd_oracle_check(args) -> int:
         for bound in BOUND_NAMES:
             q, _ = solve_qga(graph, bound=bound)
             got = q.total_cost if q is not None else math.inf
-            agree = (
-                math.isinf(oracle_cost)
-                and math.isinf(got)
-                or abs(got - oracle_cost) <= 1e-9 * max(1.0, abs(oracle_cost))
-            )
-            if not agree:
+            if not math.isclose(got, oracle_cost, rel_tol=1e-9, abs_tol=1e-9):
                 failures += 1
                 print(f"MISMATCH instance {i} bound {bound}: {got} vs oracle {oracle_cost}")
     print(f"checked {args.instances} instances x {len(BOUND_NAMES)} bounds: "
@@ -255,8 +246,26 @@ def cmd_query(args) -> int:
 
 def cmd_bench(args) -> int:
     k_values = tuple(int(x) for x in args.k.split(","))
-    report = bench_lower_bounds(args.instances, k_values=k_values, seed=args.seed)
-    text = report.to_tsv()
+    rows = bench_lower_bounds(args.instances, k_values=k_values, seed=args.seed)
+    lines = [
+        "instance\tk\tn\tm\tbound\tcost\tstates_pushed\tstates_popped\tstates_pruned"
+        "\tbound_evaluations\twall_seconds"
+    ]
+    for r in rows:
+        s = r.stats
+        lines.append(
+            f"{r.instance}\t{r.k}\t{r.n}\t{r.m}\t{r.bound}\t{r.cost:.6f}"
+            f"\t{s.states_pushed}\t{s.states_popped}\t{s.states_pruned}"
+            f"\t{s.bound_evaluations}\t{r.wall_seconds:.6f}"
+        )
+    lines.append("")
+    for k in sorted(set(k_values)):
+        for bound in BOUND_NAMES:
+            group = [r for r in rows if r.k == k and r.bound == bound]
+            popped = sum(r.stats.states_popped for r in group) / len(group)
+            wall = sum(r.wall_seconds for r in group) / len(group)
+            lines.append(f"# mean k={k} {bound}: popped={popped:.2f} wall={wall:.4f}s")
+    text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -175,44 +175,6 @@ def train_transe(kg: KnowledgeGraph, config: TrainConfig | None = None) -> Embed
     return table
 
 
-# -- reference loss/gradient (mirrors the kernel's math) -------------------
-
-
-def margin_loss(vectors: np.ndarray, pos, neg, margin: float) -> float:
-    s, p, o = pos
-    cs, cp, co = neg
-    d_pos = float(np.linalg.norm(vectors[s] + vectors[p] - vectors[o]))
-    d_neg = float(np.linalg.norm(vectors[cs] + vectors[cp] - vectors[co]))
-    return max(0.0, margin + d_pos - d_neg)
-
-
-def margin_loss_grad(vectors: np.ndarray, pos, neg, margin: float) -> dict[int, np.ndarray]:
-    """Analytic gradient of ``margin_loss`` w.r.t. every involved vector,
-    accumulated per item id.  Zero dict when the hinge is inactive."""
-    s, p, o = pos
-    cs, cp, co = neg
-    rp = vectors[s] + vectors[p] - vectors[o]
-    rn = vectors[cs] + vectors[cp] - vectors[co]
-    d_pos = float(np.linalg.norm(rp))
-    d_neg = float(np.linalg.norm(rn))
-    if margin + d_pos - d_neg <= 0.0:
-        return {}
-    gp = rp / d_pos if d_pos > 1e-12 else np.zeros_like(rp)
-    gn = rn / d_neg if d_neg > 1e-12 else np.zeros_like(rn)
-    grads: dict[int, np.ndarray] = {}
-
-    def add(item, g):
-        grads[item] = grads.get(item, 0.0) + g
-
-    add(s, gp)
-    add(p, gp)
-    add(o, -gp)
-    add(cs, -gn)
-    add(cp, -gn)
-    add(co, gn)
-    return grads
-
-
 # -- persistence ------------------------------------------------------------
 
 

@@ -1,6 +1,9 @@
-"""Synthetic assembly instances: random generation and a replay format.
+"""Synthetic assembly instances: random generation, the weight-table cost
+source, a replay format and the lower-bound sweep of ``qga bench``.
 
-The dump format is line-oriented text:
+An instance is a ``CandidateSets`` plus a weight table: a dict keyed
+(set1, v1, set2, v2, j) whose values are (weight, best_p, direction) for
+that vertex pair and edge set.  The dump format is line-oriented text:
 
     n 3
     m 2
@@ -14,10 +17,12 @@ with one W line per (vertex pair, edge set) combination.
 from __future__ import annotations
 
 import math
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assembler import CandidateSets, build_condensed_graph, table_cost_source
+from .assembler import BOUND_NAMES, CandidateSets, SolveStats, build_condensed_graph, exact_costs, solve_qga
 from .errors import ParseError
 
 
@@ -27,6 +32,8 @@ def random_instance(rng: np.random.Generator, n: int, m: int, k: int, exact_size
     Returns (CandidateSets, weight table dict).  ``exact_sizes`` makes every
     set carry exactly k candidates instead of 1..k.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if n < 2 and m >= 1:
         raise ValueError("need n >= 2 when m >= 1")
     next_id = 0
@@ -54,6 +61,18 @@ def random_instance(rng: np.random.Generator, n: int, m: int, k: int, exact_size
                         direction = int(rng.integers(0, 2))
                         weights[(i1, v1, i2, v2, j)] = (w, best_p, direction)
     return sets, weights
+
+
+def table_cost_source(weight_table: dict):
+    """Cost source backed by a weight table keyed (set1, v1, set2, v2, j)."""
+
+    def source(set1, v1, set2, v2, edge_sets):
+        keys = list(zip(set1.tolist(), v1.tolist(), set2.tolist(), v2.tolist()))
+        cells = ([weight_table[(i1, a, i2, b, j)] for i1, a, i2, b in keys] for j in range(len(edge_sets)))
+        # per edge set, its row of (weight, best_p, direction) triples split in three
+        return exact_costs(*zip(*(zip(*row) for row in cells)))
+
+    return source
 
 
 def build_random_graph(rng, n, m, k, exact_sizes=False):
@@ -148,3 +167,56 @@ def load_instance(path):
         if best_p not in sets.edge_sets[key[4]]:
             raise ParseError(path, weight_lines[key], f"predicate {best_p} is not in edge set {key[4]}")
     return sets, weights
+
+
+# -- lower-bound sweep ----------------------------------------------------------
+
+
+@dataclass
+class BenchRow:
+    instance: int
+    k: int
+    n: int
+    m: int
+    bound: str
+    cost: float
+    stats: SolveStats
+    wall_seconds: float
+
+
+BENCH_N_RANGE = (3, 4)  # vertex sets per bench instance, inclusive
+BENCH_M_RANGE = (2, 3)  # edge sets per bench instance, inclusive
+
+
+def bench_instances(instance_count: int, k_values=(5, 10), seed: int = 7):
+    """The random graphs ``bench_lower_bounds`` solves, as (k, index, graph);
+    every set has exactly k candidates."""
+    if instance_count < 1:
+        raise ValueError("instance_count must be positive")
+    for k in k_values:
+        rng = np.random.default_rng(seed + k)
+        for idx in range(instance_count):
+            n = int(rng.integers(BENCH_N_RANGE[0], BENCH_N_RANGE[1] + 1))
+            m = int(rng.integers(BENCH_M_RANGE[0], BENCH_M_RANGE[1] + 1))
+            yield k, idx, build_random_graph(rng, n, m, k, exact_sizes=True)
+
+
+def bench_lower_bounds(instance_count: int, k_values=(5, 10), seed: int = 7) -> list[BenchRow]:
+    """Run the solver under every bound on the same random instances; one
+    row per instance and bound.
+
+    Optimal costs must agree across bounds on every instance; disagreement
+    raises immediately since it means an optimality bug.
+    """
+    rows = []
+    for k, idx, graph in bench_instances(instance_count, k_values, seed):
+        costs = {}
+        for bound in BOUND_NAMES:
+            t0 = time.perf_counter()
+            q, stats = solve_qga(graph, bound=bound)
+            wall = time.perf_counter() - t0
+            costs[bound] = q.total_cost if q is not None else math.inf
+            rows.append(BenchRow(idx, k, graph.sets.n, graph.sets.m, bound, costs[bound], stats, wall))
+        if not math.isclose(min(costs.values()), max(costs.values()), rel_tol=1e-9, abs_tol=1e-9):
+            raise AssertionError(f"optimal cost disagreement on instance {idx} (k={k}): {costs}")
+    return rows

@@ -1,14 +1,10 @@
 """End-to-end orchestration: keywords -> annotated queries -> assembly ->
-prediction -> winner selection -> SPARQL -> answers, plus the lower-bound
-benchmark harness."""
+prediction -> winner selection -> SPARQL -> answers."""
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from . import lexicon as lexicon_mod
 from .assembler import (
@@ -19,7 +15,6 @@ from .assembler import (
     solve_qga,
 )
 from .errors import InfeasibleAssemblyError, QgaError, UninterpretableQueryError, UnknownItemError
-from .instances import build_random_graph
 from .predictor import predict_missing_relations
 from .sparql import emit_sparql, evaluate_bgp
 
@@ -157,124 +152,3 @@ def answer_keywords(tokens, kg, lexicon, table, config: PipelineConfig | None = 
         winner_index=winner_index,
         candidates=candidates,
     )
-
-
-# -- lower-bound benchmark ----------------------------------------------------
-
-
-@dataclass
-class BenchRow:
-    instance: int
-    k: int
-    n: int
-    m: int
-    bound: str
-    cost: float
-    states_pushed: int
-    states_popped: int
-    states_pruned: int
-    bound_evaluations: int
-    wall_seconds: float
-
-
-@dataclass
-class BenchReport:
-    rows: list[BenchRow] = field(default_factory=list)
-
-    def mean_popped(self, k: int, bound: str) -> float:
-        vals = [r.states_popped for r in self.rows if r.k == k and r.bound == bound]
-        return sum(vals) / len(vals) if vals else math.nan
-
-    def mean_wall(self, k: int, bound: str) -> float:
-        vals = [r.wall_seconds for r in self.rows if r.k == k and r.bound == bound]
-        return sum(vals) / len(vals) if vals else math.nan
-
-    def k_values(self) -> list[int]:
-        return sorted({r.k for r in self.rows})
-
-    def deterministic_rows(self):
-        """Rows minus wall clock, for reproducibility comparisons."""
-        return [
-            (r.instance, r.k, r.n, r.m, r.bound, round(r.cost, 12),
-             r.states_pushed, r.states_popped, r.states_pruned, r.bound_evaluations)
-            for r in self.rows
-        ]
-
-    def to_tsv(self) -> str:
-        header = (
-            "instance\tk\tn\tm\tbound\tcost\tstates_pushed\tstates_popped\tstates_pruned"
-            "\tbound_evaluations\twall_seconds"
-        )
-        lines = [header]
-        for r in self.rows:
-            cost = "inf" if math.isinf(r.cost) else f"{r.cost:.6f}"
-            lines.append(
-                f"{r.instance}\t{r.k}\t{r.n}\t{r.m}\t{r.bound}\t{cost}"
-                f"\t{r.states_pushed}\t{r.states_popped}\t{r.states_pruned}"
-                f"\t{r.bound_evaluations}\t{r.wall_seconds:.6f}"
-            )
-        lines.append("")
-        for k in self.k_values():
-            for bound in BOUND_NAMES:
-                lines.append(
-                    f"# mean k={k} {bound}: popped={self.mean_popped(k, bound):.2f}"
-                    f" wall={self.mean_wall(k, bound):.4f}s"
-                )
-        return "\n".join(lines) + "\n"
-
-
-BENCH_N_RANGE = (3, 4)  # vertex sets per bench instance, inclusive
-BENCH_M_RANGE = (2, 3)  # edge sets per bench instance, inclusive
-
-
-def bench_instances(instance_count: int, k_values=(5, 10), seed: int = 7):
-    """The random graphs ``bench_lower_bounds`` solves, as (k, index, graph);
-    every set has exactly k candidates."""
-    if instance_count < 1:
-        raise ValueError("instance_count must be positive")
-    for k in k_values:
-        rng = np.random.default_rng(seed + k)
-        for idx in range(instance_count):
-            n = int(rng.integers(BENCH_N_RANGE[0], BENCH_N_RANGE[1] + 1))
-            m = int(rng.integers(BENCH_M_RANGE[0], BENCH_M_RANGE[1] + 1))
-            yield k, idx, build_random_graph(rng, n, m, k, exact_sizes=True)
-
-
-def bench_lower_bounds(instance_count: int, k_values=(5, 10), seed: int = 7) -> BenchReport:
-    """Run the solver under every bound on the same random instances.
-
-    Optimal costs must agree across bounds on every instance; disagreement
-    raises immediately since it means an optimality bug.
-    """
-    report = BenchReport()
-    for k, idx, graph in bench_instances(instance_count, k_values, seed):
-        costs = {}
-        for bound in BOUND_NAMES:
-            t0 = time.perf_counter()
-            q, stats = solve_qga(graph, bound=bound)
-            wall = time.perf_counter() - t0
-            cost = q.total_cost if q is not None else math.inf
-            costs[bound] = cost
-            report.rows.append(
-                BenchRow(
-                    instance=idx,
-                    k=k,
-                    n=graph.sets.n,
-                    m=graph.sets.m,
-                    bound=bound,
-                    cost=cost,
-                    states_pushed=stats.states_pushed,
-                    states_popped=stats.states_popped,
-                    states_pruned=stats.states_pruned,
-                    bound_evaluations=stats.bound_evaluations,
-                    wall_seconds=wall,
-                )
-            )
-        lo, hi = min(costs.values()), max(costs.values())
-        if math.isinf(lo) != math.isinf(hi) or (
-            math.isfinite(lo) and hi - lo > 1e-9 * max(1.0, abs(lo))
-        ):
-            raise AssertionError(
-                f"optimal cost disagreement on instance {idx} (k={k}): {costs}"
-            )
-    return report

@@ -1,10 +1,9 @@
-"""3-CNF helpers: DIMACS parsing, random formulas, truth-table checking."""
+"""3-CNF input for ``qga sat-check``: DIMACS parsing and the truth-table
+oracle that cross-checks the assembly reduction."""
 
 from __future__ import annotations
 
 import itertools
-
-import numpy as np
 
 from .errors import ParseError
 
@@ -26,8 +25,10 @@ def parse_dimacs(path):
                 fields = line.split()
                 if len(fields) != 4 or fields[1] != "cnf":
                     raise ParseError(path, line_no, f"bad problem line {line!r}")
-                num_vars = int(fields[2])
-                num_clauses = int(fields[3])
+                try:
+                    num_vars, num_clauses = int(fields[2]), int(fields[3])
+                except ValueError:
+                    raise ParseError(path, line_no, f"bad problem line {line!r}")
                 continue
             if num_vars is None:
                 raise ParseError(path, line_no, "clause before problem line")
@@ -51,13 +52,6 @@ def parse_dimacs(path):
     return num_vars, clauses
 
 
-def write_dimacs(path, num_vars, clauses) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"p cnf {num_vars} {len(clauses)}\n")
-        for clause in clauses:
-            fh.write(" ".join(str(lit) for lit in clause) + " 0\n")
-
-
 def truth_table_satisfiable(num_vars: int, clauses) -> bool:
     """Exhaustive 2^p check; the independent oracle for the reduction."""
     for bits in itertools.product((False, True), repeat=num_vars):
@@ -69,16 +63,3 @@ def truth_table_satisfiable(num_vars: int, clauses) -> bool:
         if ok:
             return True
     return False
-
-
-def random_3cnf(rng: np.random.Generator, num_vars: int, num_clauses: int):
-    """Random 3-clauses; literals may repeat inside a clause, matching the
-    padded-by-repetition convention."""
-    clauses = []
-    for _ in range(num_clauses):
-        clause = tuple(
-            int(v) * (1 if rng.integers(0, 2) else -1)
-            for v in rng.integers(1, num_vars + 1, size=3)
-        )
-        clauses.append(clause)
-    return clauses

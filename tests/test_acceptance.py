@@ -17,28 +17,25 @@ from qga.assembler import (
     hungarian_min_assignment,
     km_lb,
     naive_lb,
-    optimal_completion_cost,
     reduce_3sat,
     solve_qga,
 )
-from qga.embedding import (
-    EmbeddingTable,
-    condensed_edge_weight,
-    margin_loss,
-    margin_loss_grad,
-    triple_assembly_cost,
-)
-from qga.instances import build_random_graph
+from qga.embedding import EmbeddingTable, condensed_edge_weight, triple_assembly_cost
+from qga.instances import bench_lower_bounds, build_random_graph
 from qga.lexicon import TermGraph, enumerate_maximal_cliques
-from qga.pipeline import answer_keywords, bench_lower_bounds
+from qga.pipeline import answer_keywords
 from qga.predictor import build_prediction_graph, connected_components, minimum_spanning_tree
-from qga.sat import random_3cnf, truth_table_satisfiable
+from qga.sat import truth_table_satisfiable
 from qga.sparql import StructuredQuery, Var, evaluate_bgp
 from qga.store import load_triples
 
 from conftest import MINI, gold_answers
+from test_assembler import optimal_completion_cost
+from test_embedding import margin_loss, margin_loss_grad
 from test_lexicon import brute_force_maximal_cliques
+from test_pipeline import mean_popped
 from test_predictor import graph as component_graph, prufer_trees, table_from
+from test_sat import random_3cnf
 from test_sparql import brute_force_bgp
 
 
@@ -117,14 +114,14 @@ def test_criterion_2_lower_bound_admissibility(solver_runs):
 
 def test_criterion_3_pruning_trend():
     t0 = time.perf_counter()
-    report_obj = bench_lower_bounds(100, k_values=(5, 10), seed=20240802)
+    rows = bench_lower_bounds(100, k_values=(5, 10), seed=20240802)
     elapsed = time.perf_counter() - t0
     lines = []
     ok = elapsed < 120.0
     for k in (5, 10):
-        naive = report_obj.mean_popped(k, "naive")
-        km = report_obj.mean_popped(k, "km")
-        greedy = report_obj.mean_popped(k, "greedy")
+        naive = mean_popped(rows, k, "naive")
+        km = mean_popped(rows, k, "km")
+        greedy = mean_popped(rows, k, "greedy")
         cond = naive > greedy and naive > km and km <= 1.25 * greedy
         ok = ok and cond
         lines.append(f"k={k}: naive={naive:.1f} km={km:.1f} greedy={greedy:.1f}")

@@ -17,15 +17,15 @@ from qga.assembler import (
     hungarian_min_assignment,
     km_lb,
     naive_lb,
-    optimal_completion_cost,
     reduce_3sat,
     solve_qga,
-    table_cost_source,
 )
 from qga.errors import ParseError, ResourceLimitError
-from qga.instances import build_random_graph, dump_instance, load_instance, random_instance
+from qga.instances import build_random_graph, dump_instance, load_instance, random_instance, table_cost_source
 from qga.lexicon import CandidateTerm
-from qga.sat import random_3cnf, truth_table_satisfiable
+from qga.sat import truth_table_satisfiable
+
+from test_sat import random_3cnf
 
 
 def term(start, end, character, items):
@@ -72,6 +72,38 @@ def make_state(graph, matched=()):
         z = keep[compatible_with(graph, e, keep)]
         cost += float(graph.weights[e])
     return SearchState(graph=graph, matched=tuple(matched), compatible=z, cost=cost)
+
+
+def optimal_completion_cost(graph, state, m):
+    """Exact cheapest total cost reachable from ``state``; +inf when none.
+
+    Brute force over the state's compatible edges, used to audit the lower
+    bounds.
+    """
+    need = m - len(state.matched)
+    if need <= 0:
+        return state.cost
+    weights = graph.weights
+    best = math.inf
+
+    def rec(z: np.ndarray, acc: float, left: int) -> None:
+        nonlocal best
+        if left == 0:
+            if acc < best:
+                best = acc
+            return
+        if len(z) < left:
+            return
+        for t in range(len(z) - left + 1):
+            e = int(z[t])
+            nxt = acc + float(weights[e])
+            if nxt >= best:
+                break  # weights ascending: later starts cost at least this
+            rest = z[t + 1 :]
+            rec(rest[compatible_with(graph, e, rest)], nxt, left - 1)
+
+    rec(state.compatible, state.cost, need)
+    return best
 
 
 # -- candidate sets ------------------------------------------------------------

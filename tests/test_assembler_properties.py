@@ -19,11 +19,10 @@ from qga.assembler import (
     embedding_cost_source,
     exact_costs,
     solve_qga,
-    table_cost_source,
 )
 from qga.embedding import DIR_FORWARD, EmbeddingTable, condensed_edge_weight
 from qga.errors import UnknownItemError
-from qga.instances import build_random_graph
+from qga.instances import build_random_graph, table_cost_source
 
 from test_assembler import conflicts, wiring
 

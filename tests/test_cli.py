@@ -4,9 +4,9 @@ import numpy as np
 
 from qga.cli import main
 from qga.instances import dump_instance, random_instance
-from qga.sat import write_dimacs
 
 from conftest import MINI
+from test_sat import write_dimacs
 
 KB = str(MINI / "kg.tsv")
 LABELS = str(MINI / "labels.tsv")
@@ -146,15 +146,68 @@ def test_oracle_check(capsys):
     assert "all optimal" in captured
 
 
+# `qga bench --instances 3 --k 3,4 --seed 2` with its wall clocks masked
+PINNED_BENCH = """\
+instance\tk\tn\tm\tbound\tcost\tstates_pushed\tstates_popped\tstates_pruned\tbound_evaluations\twall_seconds
+0\t3\t4\t3\tnaive\t0.064788\t7\t4\t3\t6\tWALL
+0\t3\t4\t3\tkm\t0.064788\t7\t3\t4\t6\tWALL
+0\t3\t4\t3\tgreedy\t0.064788\t7\t3\t4\t6\tWALL
+1\t3\t4\t2\tnaive\t0.042387\t5\t3\t2\t4\tWALL
+1\t3\t4\t2\tkm\t0.042387\t5\t3\t2\t4\tWALL
+1\t3\t4\t2\tgreedy\t0.042387\t5\t3\t2\t4\tWALL
+2\t3\t4\t2\tnaive\t0.048243\t4\t3\t1\t3\tWALL
+2\t3\t4\t2\tkm\t0.048243\t4\t3\t1\t3\tWALL
+2\t3\t4\t2\tgreedy\t0.048243\t4\t3\t1\t3\tWALL
+0\t4\t3\t3\tnaive\t0.402405\t25\t10\t15\t24\tWALL
+0\t4\t3\t3\tkm\t0.402405\t24\t9\t15\t23\tWALL
+0\t4\t3\t3\tgreedy\t0.402405\t24\t9\t15\t23\tWALL
+1\t4\t3\t3\tnaive\t0.201255\t15\t5\t10\t14\tWALL
+1\t4\t3\t3\tkm\t0.201255\t15\t5\t10\t14\tWALL
+1\t4\t3\t3\tgreedy\t0.201255\t15\t5\t10\t14\tWALL
+2\t4\t3\t2\tnaive\t0.019606\t2\t2\t0\t1\tWALL
+2\t4\t3\t2\tkm\t0.019606\t2\t2\t0\t1\tWALL
+2\t4\t3\t2\tgreedy\t0.019606\t2\t2\t0\t1\tWALL
+
+# mean k=3 naive: popped=3.33 wall=WALL
+# mean k=3 km: popped=3.00 wall=WALL
+# mean k=3 greedy: popped=3.00 wall=WALL
+# mean k=4 naive: popped=5.67 wall=WALL
+# mean k=4 km: popped=5.33 wall=WALL
+# mean k=4 greedy: popped=5.33 wall=WALL
+"""
+
+
+def without_wall_clocks(text):
+    text = re.sub(r"\t\d+\.\d{6}$", "\tWALL", text, flags=re.M)
+    return re.sub(r"wall=\d+\.\d{4}s", "wall=WALL", text)
+
+
+def test_bench_output_matches_the_pinned_report(capsys):
+    assert main(["bench", "--instances", "3", "--k", "3,4", "--seed", "2"]) == 0
+    assert without_wall_clocks(capsys.readouterr().out) == PINNED_BENCH
+
+
 def test_bench_writes_report(tmp_path, capsys):
     out = tmp_path / "report.tsv"
     code = main(
         ["bench", "--instances", "3", "--k", "3,4", "--seed", "2", "--out", str(out)]
     )
     assert code == 0
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("instance\t")
-    assert any(line.startswith("# mean k=3") for line in lines)
+    assert without_wall_clocks(out.read_text()) == PINNED_BENCH
+    means = [line for line in PINNED_BENCH.splitlines(keepends=True) if line.startswith("#")]
+    assert without_wall_clocks(capsys.readouterr().out) == "".join(means)
+
+
+def test_out_of_range_instance_sizes_are_usage_errors(capsys):
+    for argv, message in (
+        (["bench", "--instances", "2", "--k", "0"], "k must be >= 1"),
+        (["bench", "--instances", "2", "--k=-2"], "k must be >= 1"),
+        (["oracle-check", "--n-max", "1"], "--n-max must be >= 2"),
+        (["oracle-check", "--m-max", "0"], "--m-max must be >= 1"),
+        (["oracle-check", "--k-max", "0"], "--k-max must be >= 1"),
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_missing_file_exit_code(capsys):

@@ -10,12 +10,9 @@ from qga.embedding import (
     DIR_FORWARD,
     DIR_REVERSE,
     NEGATIVE_TRIES,
-    EmbeddingTable,
     TrainConfig,
     condensed_edge_weight,
     load_table,
-    margin_loss,
-    margin_loss_grad,
     save_table,
     train_transe,
     triple_assembly_cost,
@@ -23,16 +20,7 @@ from qga.embedding import (
 from qga.errors import QgaError, UnknownItemError, VectorFormatError
 from qga.store import load_triples
 
-
-def make_table(rows):
-    """Table from a dense list of vectors (item id = row index)."""
-    vectors = np.array(rows, dtype=np.float64)
-    return EmbeddingTable(
-        dim=vectors.shape[1],
-        vectors=vectors,
-        has=np.ones(vectors.shape[0], dtype=bool),
-        items=[f"item{i}" for i in range(vectors.shape[0])],
-    )
+from test_predictor import table_from
 
 
 # -- training ----------------------------------------------------------------
@@ -236,27 +224,27 @@ def test_load_missing_header(tmp_path, toy_kg):
 
 
 def test_exact_translation_cost_zero():
-    table = make_table([[0, 0], [1, 0], [1, 0]])  # v1, v2, p
+    table = table_from([[0, 0], [1, 0], [1, 0]])  # v1, v2, p
     cost, direction = triple_assembly_cost(table, 0, 1, 2)
     assert cost == 0.0 and direction == DIR_FORWARD
 
 
 def test_symmetric_residual_tie_resolves_forward():
-    table = make_table([[0, 0], [0, 1], [1, 0]])
+    table = table_from([[0, 0], [0, 1], [1, 0]])
     cost, direction = triple_assembly_cost(table, 0, 1, 2)
     assert cost == pytest.approx(math.sqrt(2.0))
     assert direction == DIR_FORWARD
 
 
 def test_reverse_direction_detected():
-    table = make_table([[1, 0], [0, 0], [1, 0]])  # v2 + p == v1
+    table = table_from([[1, 0], [0, 0], [1, 0]])  # v2 + p == v1
     cost, direction = triple_assembly_cost(table, 0, 1, 2)
     assert cost == 0.0 and direction == DIR_REVERSE
 
 
 def test_swap_symmetry_exact():
     rng = np.random.default_rng(4)
-    table = make_table(rng.normal(size=(30, 6)))
+    table = table_from(rng.normal(size=(30, 6)))
     for _ in range(300):
         v1, v2, p = rng.integers(0, 30, size=3)
         c1, _ = triple_assembly_cost(table, int(v1), int(v2), int(p))
@@ -266,7 +254,7 @@ def test_swap_symmetry_exact():
 
 
 def test_missing_vector_lookup_error():
-    table = make_table([[0, 0], [1, 0]])
+    table = table_from([[0, 0], [1, 0]])
     table.has[1] = False
     with pytest.raises(UnknownItemError):
         triple_assembly_cost(table, 0, 1, 0)
@@ -274,21 +262,21 @@ def test_missing_vector_lookup_error():
 
 def test_condensed_weight_singleton_equals_triple_cost():
     rng = np.random.default_rng(5)
-    table = make_table(rng.normal(size=(10, 4)))
+    table = table_from(rng.normal(size=(10, 4)))
     cost, best_p, direction = condensed_edge_weight(table, 0, 1, [5])
     single_cost, single_dir = triple_assembly_cost(table, 0, 1, 5)
     assert cost == single_cost and best_p == 5 and direction == single_dir
 
 
 def test_condensed_weight_min_selection():
-    table = make_table([[0, 0], [1, 0], [1, 0], [0, 5]])  # p=2 exact, p=3 far
+    table = table_from([[0, 0], [1, 0], [1, 0], [0, 5]])  # p=2 exact, p=3 far
     cost, best_p, _ = condensed_edge_weight(table, 0, 1, [3, 2])
     assert best_p == 2 and cost == 0.0
 
 
 def test_condensed_weight_brute_force_scan():
     rng = np.random.default_rng(6)
-    table = make_table(rng.normal(size=(40, 8)))
+    table = table_from(rng.normal(size=(40, 8)))
     for _ in range(50):
         v1, v2 = (int(x) for x in rng.integers(0, 10, size=2))
         preds = sorted(int(x) for x in rng.choice(np.arange(10, 40), size=5, replace=False))
@@ -303,12 +291,50 @@ def test_condensed_weight_brute_force_scan():
 
 
 def test_condensed_weight_empty_set():
-    table = make_table([[0, 0]])
+    table = table_from([[0, 0]])
     with pytest.raises(ValueError):
         condensed_edge_weight(table, 0, 0, [])
 
 
 # -- gradients -----------------------------------------------------------------
+
+
+# the reference loss and gradient mirror the training kernel's math
+
+
+def margin_loss(vectors: np.ndarray, pos, neg, margin: float) -> float:
+    s, p, o = pos
+    cs, cp, co = neg
+    d_pos = float(np.linalg.norm(vectors[s] + vectors[p] - vectors[o]))
+    d_neg = float(np.linalg.norm(vectors[cs] + vectors[cp] - vectors[co]))
+    return max(0.0, margin + d_pos - d_neg)
+
+
+def margin_loss_grad(vectors: np.ndarray, pos, neg, margin: float) -> dict[int, np.ndarray]:
+    """Analytic gradient of ``margin_loss`` w.r.t. every involved vector,
+    accumulated per item id.  Zero dict when the hinge is inactive."""
+    s, p, o = pos
+    cs, cp, co = neg
+    rp = vectors[s] + vectors[p] - vectors[o]
+    rn = vectors[cs] + vectors[cp] - vectors[co]
+    d_pos = float(np.linalg.norm(rp))
+    d_neg = float(np.linalg.norm(rn))
+    if margin + d_pos - d_neg <= 0.0:
+        return {}
+    gp = rp / d_pos if d_pos > 1e-12 else np.zeros_like(rp)
+    gn = rn / d_neg if d_neg > 1e-12 else np.zeros_like(rn)
+    grads: dict[int, np.ndarray] = {}
+
+    def add(item, g):
+        grads[item] = grads.get(item, 0.0) + g
+
+    add(s, gp)
+    add(p, gp)
+    add(o, -gp)
+    add(cs, -gn)
+    add(cp, -gn)
+    add(co, gn)
+    return grads
 
 
 def test_margin_loss_gradient_matches_finite_differences():

@@ -2,7 +2,27 @@ import numpy as np
 import pytest
 
 from qga.errors import ParseError
-from qga.sat import parse_dimacs, random_3cnf, truth_table_satisfiable, write_dimacs
+from qga.sat import parse_dimacs, truth_table_satisfiable
+
+
+def write_dimacs(path, num_vars, clauses) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"p cnf {num_vars} {len(clauses)}\n")
+        for clause in clauses:
+            fh.write(" ".join(str(lit) for lit in clause) + " 0\n")
+
+
+def random_3cnf(rng: np.random.Generator, num_vars: int, num_clauses: int):
+    """Random 3-clauses; literals may repeat inside a clause, matching the
+    padded-by-repetition convention."""
+    clauses = []
+    for _ in range(num_clauses):
+        clause = tuple(
+            int(v) * (1 if rng.integers(0, 2) else -1)
+            for v in rng.integers(1, num_vars + 1, size=3)
+        )
+        clauses.append(clause)
+    return clauses
 
 
 def test_dimacs_round_trip(tmp_path):
@@ -38,6 +58,13 @@ def test_dimacs_missing_problem_line(tmp_path):
     path = tmp_path / "f.cnf"
     path.write_text("1 -2 2 0\n")
     with pytest.raises(ParseError):
+        parse_dimacs(path)
+
+
+def test_dimacs_bad_problem_line_names_the_line(tmp_path):
+    path = tmp_path / "f.cnf"
+    path.write_text("c header\np cnf x 1\n1 2 3 0\n")
+    with pytest.raises(ParseError, match=r"f\.cnf:2: bad problem line 'p cnf x 1'"):
         parse_dimacs(path)
 
 
