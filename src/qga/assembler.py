@@ -119,7 +119,8 @@ class CondensedBipartiteGraph:
     for the n - 2 sets it does not touch.  Crossing edge ``e`` joins left
     node ``lefts[e]`` to edge set ``rights[e]``; edges are sorted by
     (weight, left, right).  Memory is O(E + L·n): conflicts are tested on
-    demand by ``compatible_with``.
+    demand by ``compatible_with``, through one cached mask over the left
+    nodes per (set, vertex) it has met, at most L·Σ|V_i| bytes.
 
     Edge costs may be computed lazily: ``edge_weights`` holds NaN (and
     ``edge_best_p``/``edge_direction`` -1) for an edge not costed yet, and
@@ -140,6 +141,9 @@ class CondensedBipartiteGraph:
     exact_upto: int = 0
     edges_costed: int = 0  # crossing edges whose cost source computed an exact cost
     lazy: _LazyCosts | None = None  # None once every edge is costed
+    # (set, vertex) -> (L,) bool: the left nodes that do not clash with
+    # vertex in set, filled by ``compatible_with`` as the search asks
+    fits: dict = field(default_factory=dict, repr=False)
 
     @property
     def edges(self) -> range:
@@ -201,13 +205,23 @@ def compatible_with(graph: CondensedBipartiteGraph, e: int, rest: np.ndarray) ->
     matching that holds edge ``e``.  It needs another right node, another
     left node, and the same vertex wherever the two left nodes share a set."""
     left = graph.lefts[e]
+    set1, vertex1, set2, vertex2 = graph.left_nodes[left].tolist()
     rest_lefts = graph.lefts[rest]
-    ok = (graph.rights[rest] != graph.rights[e]) & (rest_lefts != left)
-    slots = graph.slots
-    for s in graph.left_nodes[left, ::2]:
-        col = slots[rest_lefts, s]
-        ok &= (col == UNBOUND) | (col == slots[left, s])
+    ok = (_fits(graph, set1, vertex1) & _fits(graph, set2, vertex2))[rest_lefts]
+    ok &= graph.rights[rest] != graph.rights[e]
+    ok &= rest_lefts != left
     return ok
+
+
+def _fits(graph: CondensedBipartiteGraph, s: int, v: int) -> np.ndarray:
+    """Mask over the left nodes: True where set ``s`` is unbound or bound
+    to vertex ``v``, i.e. no clash with a left node that binds v in s.
+    Built on first use and kept for the graph's later searches."""
+    fits = graph.fits.get((s, v))
+    if fits is None:
+        col = graph.slots[:, s]
+        fits = graph.fits[(s, v)] = (col == UNBOUND) | (col == v)
+    return fits
 
 
 def build_condensed_graph(sets: CandidateSets, cost_source) -> CondensedBipartiteGraph:
@@ -238,23 +252,31 @@ def build_condensed_graph(sets: CandidateSets, cost_source) -> CondensedBipartit
     vertex_sets = sets.vertex_sets
     # (i1, v1, i2, v2) for every vertex of set i1 against every vertex of
     # set i2, set pair by set pair: one outer product per set pair for the
-    # kernel.  itertools and fromiter flatten it in C, with no Python step
-    # per node and no per-pair numpy calls on the one-vertex sets of short
-    # queries.
-    nodes = itertools.chain.from_iterable(
-        itertools.product((i1,), vertex_sets[i1], (i2,), vertex_sets[i2])
-        for i1, i2 in itertools.combinations(range(n), 2)
-    )
-    left_nodes = np.fromiter(itertools.chain.from_iterable(nodes), dtype=np.int64).reshape(-1, 4)
-    set1, vertex1, set2, vertex2 = left_nodes.T
-    num_left = len(left_nodes)
+    # kernel.  Each set pair fills a |V_i1| x |V_i2| block of the left nodes
+    # and of the slots with broadcast column writes.
+    pairs = list(itertools.combinations(range(n), 2))
+    sizes = [len(vs) for vs in vertex_sets]
+    num_left = sum(sizes[i1] * sizes[i2] for i1, i2 in pairs)
+    vertices = [np.array(vs, dtype=np.int64) for vs in vertex_sets]
+    left_nodes = np.empty((num_left, 4), dtype=np.int64)
     # empty + fill: on the few-node graphs of short queries, np.full's
     # Python wrapper costs more than the fill
     slots = np.empty((num_left, n), dtype=np.int64)
     slots.fill(UNBOUND)
-    at = np.arange(num_left)
-    slots[at, set1] = vertex1
-    slots[at, set2] = vertex2
+    at = 0
+    for i1, i2 in pairs:
+        n1, n2 = sizes[i1], sizes[i2]
+        end = at + n1 * n2
+        nodes = left_nodes[at:end].reshape(n1, n2, 4)
+        nodes[:, :, 0] = i1
+        nodes[:, :, 1] = column = vertices[i1][:, None]
+        nodes[:, :, 2] = i2
+        nodes[:, :, 3] = vertices[i2]
+        bound = slots[at:end].reshape(n1, n2, n)
+        bound[:, :, i1] = column
+        bound[:, :, i2] = vertices[i2]
+        at = end
+    set1, vertex1, set2, vertex2 = left_nodes.T
 
     weights = np.zeros((num_left, m))
     best_p = np.empty((num_left, m), dtype=np.int64)

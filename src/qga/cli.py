@@ -144,7 +144,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    for flag, value, low in (("--n-max", args.n_max, 2), ("--m-max", args.m_max, 1), ("--k-max", args.k_max, 1)):
+    for flag, value, low in (
+        ("--instances", args.instances, 1),
+        ("--n-max", args.n_max, 2),
+        ("--m-max", args.m_max, 1),
+        ("--k-max", args.k_max, 1),
+    ):
         if value < low:
             raise ValueError(f"{flag} must be >= {low}")
     rng = np.random.default_rng(args.seed)
@@ -246,6 +251,8 @@ def cmd_query(args) -> int:
 
 def cmd_bench(args) -> int:
     k_values = tuple(int(x) for x in args.k.split(","))
+    if len(set(k_values)) < len(k_values):
+        raise ValueError(f"--k repeats a value: {args.k}")
     rows = bench_lower_bounds(args.instances, k_values=k_values, seed=args.seed)
     lines = [
         "instance\tk\tn\tm\tbound\tcost\tstates_pushed\tstates_popped\tstates_pruned"

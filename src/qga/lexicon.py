@@ -7,6 +7,7 @@ cliques, and ranks the resulting segmentations.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -17,6 +18,8 @@ from .store import KIND_CLASS, KIND_ENTITY, KIND_PREDICATE, KnowledgeGraph
 CHAR_ENTITY = "entity"
 CHAR_CLASS = "class"
 CHAR_RELATION = "relation"
+
+CHARACTERS = (CHAR_ENTITY, CHAR_CLASS, CHAR_RELATION)  # the order terms are emitted in
 
 _KIND_TO_CHAR = {
     KIND_ENTITY: CHAR_ENTITY,
@@ -134,12 +137,22 @@ def _read_tsv(path):
 class Lexicon:
     """surface phrase -> candidate graph items, plus a word-count index
     used by the bounded fuzzy matcher.  A surface lists each (item,
-    character) once; every entry is an exact match, the fuzzy discount is
-    applied at lookup time by ``generate_candidate_terms``."""
+    character) once, in first-seen order; every entry is an exact match,
+    the fuzzy discount is applied at lookup time by
+    ``generate_candidate_terms``.
+
+    ``ranked(surface)`` gives, per character, the surface's items in id
+    order, each with ``EXACT_SCORE``: the exact candidates in rank order,
+    so the top k are a slice.  ``build_lexicon`` ranks every surface, so
+    set-up pays for it, not the first query; an add drops its surface's
+    ranking, which the next read rebuilds."""
 
     def __init__(self):
-        self._by_surface: dict[str, list[LexiconEntry]] = {}
+        # per surface, an insertion-ordered set of (item, character): a
+        # repeated add is a dict hit, not a scan
+        self._by_surface: dict[str, dict[tuple[int, str], None]] = {}
         self._by_word_count: dict[int, list[str]] = {}
+        self._ranked: dict[str, dict[str, tuple[tuple[int, float], ...]]] = {}
 
     def add(self, surface: str, item: int, character: str) -> None:
         surface = normalize(surface)
@@ -147,16 +160,24 @@ class Lexicon:
             return
         entries = self._by_surface.get(surface)
         if entries is None:
-            entries = []
+            entries = {}
             self._by_surface[surface] = entries
             wc = len(surface.split())
             self._by_word_count.setdefault(wc, []).append(surface)
-        entry = LexiconEntry(surface, item, character)
-        if entry not in entries:
-            entries.append(entry)
+        entries[(item, character)] = None
+        self._ranked.pop(surface, None)
 
     def lookup(self, surface: str) -> list[LexiconEntry]:
-        return self._by_surface.get(surface, [])
+        return [LexiconEntry(surface, item, character) for item, character in self._by_surface.get(surface, ())]
+
+    def ranked(self, surface: str) -> dict[str, tuple[tuple[int, float], ...]]:
+        ranked = self._ranked.get(surface)
+        if ranked is None:
+            entries = self._by_surface.get(surface)
+            if entries is None:
+                return {}
+            ranked = self._ranked[surface] = _rank(entries)
+        return ranked
 
     def surfaces_with_word_count(self, wc: int) -> list[str]:
         return self._by_word_count.get(wc, [])
@@ -166,6 +187,21 @@ class Lexicon:
 
     def __len__(self) -> int:
         return len(self._by_surface)
+
+
+def _rank(entries) -> dict[str, tuple[tuple[int, float], ...]]:
+    """Per character, the (item, character) entries' items in id order,
+    each with ``EXACT_SCORE``."""
+    found: dict[str, list[tuple[int, float]]] = {}
+    for item, character in entries:
+        found.setdefault(character, []).append((item, EXACT_SCORE))
+    ranked = {}
+    for character in CHARACTERS:
+        candidates = found.get(character)
+        if candidates:
+            candidates.sort()
+            ranked[character] = tuple(candidates)
+    return ranked
 
 
 def build_lexicon(kg: KnowledgeGraph, labels_path=None, paraphrase_path=None) -> Lexicon:
@@ -195,6 +231,7 @@ def build_lexicon(kg: KnowledgeGraph, labels_path=None, paraphrase_path=None) ->
                 raise ParseError(paraphrase_path, line_no, f"paraphrase target {iri!r} is not a predicate")
             lex.add(phrase, item, CHAR_RELATION)
 
+    lex._ranked = {surface: _rank(entries) for surface, entries in lex._by_surface.items()}
     return lex
 
 
@@ -235,47 +272,53 @@ def generate_candidate_terms(
 
     Every contiguous token subsequence is tried; spans made only of
     stopwords are suppressed.  Per (span, character) the top-k candidates
-    are kept, score-descending with item id as the tie break.
+    are kept, score-descending with item id as the tie break: the exact
+    matches first, then the fuzzy ones.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if not tokens:
         return []
     norm = [t.lower() for t in tokens]
+    content = [t not in STOPWORDS for t in norm]
     terms: list[CandidateTerm] = []
     for start in range(len(norm)):
         for end in range(start + 1, len(norm) + 1):
-            words = norm[start:end]
-            if all(w in STOPWORDS for w in words):
+            if not any(content[start:end]):
                 continue
+            words = norm[start:end]
             surface = normalize(" ".join(words))
-            found: dict[str, dict[int, float]] = {}
-
-            def record(entry, score):
-                bucket = found.setdefault(entry.character, {})
-                if score > bucket.get(entry.item, -1.0):
-                    bucket[entry.item] = score
-
-            for entry in lexicon.lookup(surface):
-                record(entry, EXACT_SCORE)
+            exact = lexicon.ranked(surface)
+            near = []
             if fuzzy:
-                for cand_surface in lexicon.surfaces_with_word_count(len(words)):
-                    if cand_surface != surface and _fuzzy_match(words, cand_surface):
-                        for entry in lexicon.lookup(cand_surface):
-                            record(entry, FUZZY_SCORE)
-
-            for character in (CHAR_ENTITY, CHAR_CLASS, CHAR_RELATION):
-                bucket = found.get(character)
-                if not bucket:
-                    continue
-                ranked = sorted(bucket.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-                terms.append(
-                    CandidateTerm(
-                        start=start,
-                        end=end,
-                        character=character,
-                        candidates=tuple(ranked),
-                    )
-                )
+                near = [
+                    lexicon.ranked(cand_surface)
+                    for cand_surface in lexicon.surfaces_with_word_count(len(words))
+                    if cand_surface != surface and _fuzzy_match(words, cand_surface)
+                ]
+            # exact holds its characters in CHARACTERS order; fuzzy surfaces may add others
+            for character in CHARACTERS if near else exact:
+                candidates = exact.get(character, ())[:k]
+                if near and len(candidates) < k:
+                    candidates = _with_fuzzy(candidates, [r[character] for r in near if character in r], k)
+                if candidates:
+                    terms.append(CandidateTerm(start=start, end=end, character=character, candidates=candidates))
     return terms
+
+
+def _with_fuzzy(exact, near, k):
+    """Fill the exact candidates up to k with fuzzy ones: the ids of the
+    ``near`` tuples, merged smallest first, each once and none exact, at
+    ``FUZZY_SCORE``.  An item that is an exact match keeps its exact score."""
+    kept = list(exact)
+    seen = {item for item, _ in exact}
+    for item, _ in heapq.merge(*near):
+        if item not in seen:
+            seen.add(item)
+            kept.append((item, FUZZY_SCORE))
+            if len(kept) == k:
+                break
+    return tuple(kept)
 
 
 def build_term_graph(candidates: list[CandidateTerm]) -> TermGraph:

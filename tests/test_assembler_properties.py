@@ -16,6 +16,7 @@ from qga.assembler import (
     CandidateSets,
     brute_force_oracle,
     build_condensed_graph,
+    compatible_with,
     embedding_cost_source,
     exact_costs,
     solve_qga,
@@ -175,6 +176,46 @@ def test_lazy_solver_matches_oracle_under_every_bound(case):
         chosen = [e for e in graph.edges if wiring(graph, e) + (int(graph.best_p[e]),) in assembled]
         assert len(chosen) == sets.m
         assert not any(conflicts(graph, e, f) for e, f in itertools.combinations(chosen, 2))
+
+
+@st.composite
+def graphs_and_calls(draw):
+    """A small graph with tied costs, free-variable sets among its vertex
+    sets, and a sequence of ``compatible_with`` calls on it: edge ``e`` in
+    any order, each against any subset of the edges."""
+    n = draw(st.integers(2, 4))
+    vertex_sets = []
+    for _ in range(n):
+        if draw(st.integers(0, 3)) == 0:
+            vertex_sets.append((FREE_VAR,))
+        else:
+            vertex_sets.append(tuple(draw(st.lists(st.sampled_from(VERTICES), min_size=1, max_size=3, unique=True))))
+    m = draw(st.integers(1, 3))
+    edge_sets = [(PREDICATES[j],) for j in range(m)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    def source(set1, v1, set2, v2, edge_sets):
+        shape = (len(edge_sets), len(v1))
+        best_p = np.repeat([[p[0]] for p in edge_sets], len(v1), axis=1)
+        return exact_costs(rng.integers(0, 3, shape), best_p, np.zeros(shape))
+
+    graph = build_condensed_graph(CandidateSets(vertex_sets, edge_sets), source)
+    num_edges = len(graph.edges)
+    order = draw(st.permutations(range(num_edges)))
+    calls = [(e, np.flatnonzero(rng.random(num_edges) < rng.random())) for e in order]
+    return graph, calls
+
+
+@PROPERTY_SETTINGS
+@given(graphs_and_calls())
+def test_compatible_with_equals_the_pairwise_reference_in_any_call_order(case):
+    # every call after the first reuses the graph's cached clash masks
+    graph, calls = case
+    for e, rest in calls:
+        assert compatible_with(graph, e, rest).tolist() == [not conflicts(graph, e, f) for f in rest.tolist()]
+    num_left = len(graph.left_nodes)
+    assert len(graph.fits) <= sum(len(vs) for vs in graph.sets.vertex_sets)
+    assert all(mask.shape == (num_left,) and mask.dtype == bool for mask in graph.fits.values())
 
 
 def test_graph_memory_is_linear_in_edges():

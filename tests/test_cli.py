@@ -202,6 +202,11 @@ def test_out_of_range_instance_sizes_are_usage_errors(capsys):
     for argv, message in (
         (["bench", "--instances", "2", "--k", "0"], "k must be >= 1"),
         (["bench", "--instances", "2", "--k=-2"], "k must be >= 1"),
+        # a repeated k would print its rows twice under one instance index
+        (["bench", "--instances", "2", "--k", "3,4,3"], "--k repeats a value: 3,4,3"),
+        # checking no instance is no evidence: it must not read "all optimal"
+        (["oracle-check", "--instances", "0"], "--instances must be >= 1"),
+        (["oracle-check", "--instances=-3"], "--instances must be >= 1"),
         (["oracle-check", "--n-max", "1"], "--n-max must be >= 2"),
         (["oracle-check", "--m-max", "0"], "--m-max must be >= 1"),
         (["oracle-check", "--k-max", "0"], "--k-max must be >= 1"),

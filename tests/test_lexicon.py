@@ -2,18 +2,32 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qga.errors import ParseError, ResourceLimitError
 from qga.lexicon import (
+    CHAR_CLASS,
+    CHAR_ENTITY,
+    CHAR_RELATION,
+    CHARACTERS,
+    EXACT_SCORE,
+    FUZZY_SCORE,
+    STOPWORDS,
     CandidateTerm,
+    Lexicon,
     TermGraph,
+    _fuzzy_match,
     auto_surface,
     build_lexicon,
     build_term_graph,
     enumerate_maximal_cliques,
     generate_candidate_terms,
+    normalize,
     rank_segmentations,
 )
+
+from conftest import MINI
 
 
 def term(start, end, character="entity", candidates=((0, 1.0),)):
@@ -82,7 +96,129 @@ def test_paraphrase_must_target_predicate(tmp_path, mini_kg):
         build_lexicon(mini_kg, None, para)
 
 
+def test_repeated_adds_keep_one_entry_in_first_seen_order():
+    lex = Lexicon()
+    for item, character in [(5, "entity"), (2, "class"), (5, "entity"), (9, "entity"), (2, "class"), (5, "relation")]:
+        lex.add("Common  Name", item, character)
+    assert [(e.item, e.character) for e in lex.lookup("common name")] == [
+        (5, "entity"),
+        (2, "class"),
+        (9, "entity"),
+        (5, "relation"),
+    ]
+    assert lex.ranked("common name") == {"entity": ((5, 1.0), (9, 1.0)), "class": ((2, 1.0),), "relation": ((5, 1.0),)}
+    assert len(lex) == 1
+
+
 # -- candidate terms ----------------------------------------------------------
+
+
+def reference_candidate_terms(tokens, lexicon, k=10, fuzzy=False):
+    """Candidate generation by record and sort: every entry of every
+    matched surface is recorded with its score, an item keeps its best
+    score, and each (span, character) bucket is sorted by (-score, item id)
+    and cut to k.  The reference for ``generate_candidate_terms``."""
+    if not tokens:
+        return []
+    norm = [t.lower() for t in tokens]
+    terms = []
+    for start in range(len(norm)):
+        for end in range(start + 1, len(norm) + 1):
+            words = norm[start:end]
+            if all(w in STOPWORDS for w in words):
+                continue
+            surface = normalize(" ".join(words))
+            found = {}
+
+            def record(entry, score):
+                bucket = found.setdefault(entry.character, {})
+                if score > bucket.get(entry.item, -1.0):
+                    bucket[entry.item] = score
+
+            for entry in lexicon.lookup(surface):
+                record(entry, EXACT_SCORE)
+            if fuzzy:
+                for cand_surface in lexicon.surfaces_with_word_count(len(words)):
+                    if cand_surface != surface and _fuzzy_match(words, cand_surface):
+                        for entry in lexicon.lookup(cand_surface):
+                            record(entry, FUZZY_SCORE)
+
+            for character in (CHAR_ENTITY, CHAR_CLASS, CHAR_RELATION):
+                bucket = found.get(character)
+                if not bucket:
+                    continue
+                ranked = sorted(bucket.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+                terms.append(CandidateTerm(start=start, end=end, character=character, candidates=tuple(ranked)))
+    return terms
+
+
+# words one edit apart, so fuzzy surfaces match each other; "of" is a stopword
+WORDS = ("alpha", "alphas", "alpa", "beta", "bet", "betas", "gamma", "of")
+
+
+@st.composite
+def lexicon_adds(draw):
+    """(surface, item, character) adds over a few one- and two-word surfaces,
+    each spelled in several ways that normalize alike (as a label equal to
+    an auto-surface is); some adds are repeated."""
+    phrases = st.lists(st.sampled_from(WORDS[:-1]), min_size=1, max_size=2)
+    spellings = st.sampled_from((" ".join, "  ".join, lambda w: " ".join(w).upper()))
+    adds = draw(
+        st.lists(
+            st.tuples(
+                st.builds(lambda words, spell: spell(words), phrases, spellings),
+                st.integers(0, 15),
+                st.sampled_from(CHARACTERS),
+            ),
+            max_size=40,
+        )
+    )
+    repeats = draw(st.lists(st.integers(0, max(len(adds) - 1, 0)), max_size=10)) if adds else []
+    return adds + [adds[i] for i in repeats]
+
+
+def one_surface(m, typos=0):
+    """m items under "alpha", and ``typos`` lower ids under the fuzzy "alpa"."""
+    return [("alpha", 100 + i, CHAR_ENTITY) for i in range(m)] + [("alpa", i, CHAR_ENTITY) for i in range(typos)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    adds=lexicon_adds(),
+    later=lexicon_adds(),
+    tokens=st.lists(st.sampled_from(WORDS), min_size=1, max_size=4),
+    k=st.integers(1, 6),
+    fuzzy=st.booleans(),
+)
+@example(adds=one_surface(12, 3), later=[], tokens=["alpha"], k=5, fuzzy=True)  # M > k
+@example(adds=one_surface(2, 6), later=[], tokens=["alpha"], k=5, fuzzy=True)  # M < k: fuzzy ids fill up
+@example(adds=one_surface(2, 6), later=[], tokens=["alpha"], k=1, fuzzy=True)
+@example(adds=one_surface(2, 6), later=[], tokens=["alpha"], k=5, fuzzy=False)
+@example(adds=one_surface(2) + [("alpa", 100, CHAR_ENTITY)], later=[], tokens=["alpha"], k=5, fuzzy=True)  # exact wins
+def test_candidate_terms_equal_the_record_and_sort_reference(adds, later, tokens, k, fuzzy):
+    lex = Lexicon()
+    for add in adds:
+        lex.add(*add)
+    assert generate_candidate_terms(tokens, lex, k=k, fuzzy=fuzzy) == reference_candidate_terms(tokens, lex, k, fuzzy)
+    # adds after a query reach the next one
+    for add in later:
+        lex.add(*add)
+    assert generate_candidate_terms(tokens, lex, k=k, fuzzy=fuzzy) == reference_candidate_terms(tokens, lex, k, fuzzy)
+
+
+def test_mini_candidate_terms_equal_the_reference_with_labels_equal_to_auto_surfaces(tmp_path, mini_kg):
+    labels = tmp_path / "labels.tsv"
+    labels.write_text((MINI / "labels.tsv").read_text() + "dbo:deathDate\tDeath  Date\nres:Alan_Turing\talan turing\n")
+    lex = build_lexicon(mini_kg, labels, MINI / "paraphrases.tsv")
+    lines = (MINI / "queries.tsv").read_text().splitlines()
+    queries = [line.split("\t")[1].split() for line in lines if line and not line.startswith("#")]
+    assert len(queries) == 10
+    for tokens in queries + [["scientis", "death", "dat"], ["alan", "turing"]]:
+        for k in (1, 2, 10):
+            for fuzzy in (False, True):
+                assert generate_candidate_terms(tokens, lex, k=k, fuzzy=fuzzy) == reference_candidate_terms(
+                    tokens, lex, k, fuzzy
+                )
 
 
 def test_usa_ambiguity(mini_kg, mini_lexicon):
@@ -117,6 +253,9 @@ def test_candidate_cap(mini_lexicon):
     for k in (1, 2, 10):
         for t in generate_candidate_terms(tokens, mini_lexicon, k=k):
             assert 1 <= len(t.candidates) <= k
+    for fuzzy in (False, True):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            generate_candidate_terms(tokens, mini_lexicon, k=0, fuzzy=fuzzy)
 
 
 def test_fuzzy_single_edit(mini_kg, mini_lexicon):
