@@ -78,15 +78,10 @@ class EmbeddingTable:
         return ok
 
     def require(self, *ids):
-        """Raise UnknownItemError for the first id, in argument order, that
-        has no vector.  Each argument is an item id or an array of ids."""
+        """Raise UnknownItemError for the first item id, in argument order,
+        that has no vector."""
         for i in ids:
-            if not isinstance(i, np.ndarray):
-                self.vector(i)
-                continue
-            ok = self.has_vector(i)
-            if not ok.all():
-                raise UnknownItemError(f"no vector for item id {i[np.argmin(ok)].item()!r}")
+            self.vector(i)
 
 
 def _init_table(kg: KnowledgeGraph, config: TrainConfig) -> tuple[EmbeddingTable, np.ndarray]:

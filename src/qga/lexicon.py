@@ -47,13 +47,6 @@ STOPWORDS = load_stopwords()
 
 
 @dataclass(frozen=True)
-class LexiconEntry:
-    surface: str
-    item: int
-    character: str
-
-
-@dataclass(frozen=True)
 class CandidateTerm:
     """One possible term: a token span, its character, and its candidates.
 
@@ -135,58 +128,36 @@ def _read_tsv(path):
 
 
 class Lexicon:
-    """surface phrase -> candidate graph items, plus a word-count index
-    used by the bounded fuzzy matcher.  A surface lists each (item,
-    character) once, in first-seen order; every entry is an exact match,
-    the fuzzy discount is applied at lookup time by
-    ``generate_candidate_terms``.
+    """surface phrase -> candidate graph items, ranked once when built, plus
+    a word-count index used by the bounded fuzzy matcher.
 
-    ``ranked(surface)`` gives, per character, the surface's items in id
-    order, each with ``EXACT_SCORE``: the exact candidates in rank order,
-    so the top k are a slice.  ``build_lexicon`` ranks every surface, so
-    set-up pays for it, not the first query; an add drops its surface's
-    ranking, which the next read rebuilds."""
+    ``Lexicon(entries)`` takes (surface, item, character) triples; each
+    surface is normalized, an empty one dropped and a repeated entry counted
+    once.  ``ranked(surface)`` gives, per character, the surface's items in
+    id order, each with ``EXACT_SCORE``: the exact candidates in rank order,
+    so the top k are a slice; ``generate_candidate_terms`` applies the fuzzy
+    discount.  A built lexicon never changes."""
 
-    def __init__(self):
-        # per surface, an insertion-ordered set of (item, character): a
-        # repeated add is a dict hit, not a scan
-        self._by_surface: dict[str, dict[tuple[int, str], None]] = {}
+    def __init__(self, entries):
+        # per surface, an insertion-ordered set of (item, character)
+        found: dict[str, dict[tuple[int, str], None]] = {}
+        for surface, item, character in entries:
+            surface = normalize(surface)
+            if surface:
+                found.setdefault(surface, {})[(item, character)] = None
+        self._ranked = {surface: _rank(pairs) for surface, pairs in found.items()}
         self._by_word_count: dict[int, list[str]] = {}
-        self._ranked: dict[str, dict[str, tuple[tuple[int, float], ...]]] = {}
-
-    def add(self, surface: str, item: int, character: str) -> None:
-        surface = normalize(surface)
-        if not surface:
-            return
-        entries = self._by_surface.get(surface)
-        if entries is None:
-            entries = {}
-            self._by_surface[surface] = entries
-            wc = len(surface.split())
-            self._by_word_count.setdefault(wc, []).append(surface)
-        entries[(item, character)] = None
-        self._ranked.pop(surface, None)
-
-    def lookup(self, surface: str) -> list[LexiconEntry]:
-        return [LexiconEntry(surface, item, character) for item, character in self._by_surface.get(surface, ())]
+        for surface in found:
+            self._by_word_count.setdefault(len(surface.split()), []).append(surface)
 
     def ranked(self, surface: str) -> dict[str, tuple[tuple[int, float], ...]]:
-        ranked = self._ranked.get(surface)
-        if ranked is None:
-            entries = self._by_surface.get(surface)
-            if entries is None:
-                return {}
-            ranked = self._ranked[surface] = _rank(entries)
-        return ranked
+        return self._ranked.get(surface, {})
 
     def surfaces_with_word_count(self, wc: int) -> list[str]:
         return self._by_word_count.get(wc, [])
 
-    def __contains__(self, surface: str) -> bool:
-        return surface in self._by_surface
-
     def __len__(self) -> int:
-        return len(self._by_surface)
+        return len(self._ranked)
 
 
 def _rank(entries) -> dict[str, tuple[tuple[int, float], ...]]:
@@ -208,10 +179,12 @@ def build_lexicon(kg: KnowledgeGraph, labels_path=None, paraphrase_path=None) ->
     """Build the surface lexicon: auto-labels from IRI local names, explicit
     labels from ``labels_path``, relation paraphrases from ``paraphrase_path``.
     """
-    lex = Lexicon()
-    for item in range(kg.num_items()):
-        character = _KIND_TO_CHAR[kg.kind_of(item)]
-        lex.add(auto_surface(kg.iri_of(item)), item, character)
+    return Lexicon(_entries(kg, labels_path, paraphrase_path))
+
+
+def _entries(kg: KnowledgeGraph, labels_path, paraphrase_path):
+    for item, (iri, kind) in enumerate(zip(kg.items, kg.kinds)):
+        yield auto_surface(iri), item, _KIND_TO_CHAR[kind]
 
     if labels_path is not None:
         for line_no, iri, label in _read_tsv(labels_path):
@@ -219,7 +192,7 @@ def build_lexicon(kg: KnowledgeGraph, labels_path=None, paraphrase_path=None) ->
                 item = kg.id_of(iri)
             except UnknownItemError:
                 raise ParseError(labels_path, line_no, f"label references unknown IRI {iri!r}")
-            lex.add(label, item, _KIND_TO_CHAR[kg.kind_of(item)])
+            yield label, item, _KIND_TO_CHAR[kg.kind_of(item)]
 
     if paraphrase_path is not None:
         for line_no, phrase, iri in _read_tsv(paraphrase_path):
@@ -229,10 +202,7 @@ def build_lexicon(kg: KnowledgeGraph, labels_path=None, paraphrase_path=None) ->
                 raise ParseError(paraphrase_path, line_no, f"paraphrase references unknown IRI {iri!r}")
             if kg.kind_of(item) != KIND_PREDICATE:
                 raise ParseError(paraphrase_path, line_no, f"paraphrase target {iri!r} is not a predicate")
-            lex.add(phrase, item, CHAR_RELATION)
-
-    lex._ranked = {surface: _rank(entries) for surface, entries in lex._by_surface.items()}
-    return lex
+            yield phrase, item, CHAR_RELATION
 
 
 # -- candidate term generation -------------------------------------------

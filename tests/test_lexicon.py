@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qga.lexicon import (
     CandidateTerm,
     Lexicon,
     TermGraph,
+    _entries,
     _fuzzy_match,
     auto_surface,
     build_lexicon,
@@ -26,6 +28,7 @@ from qga.lexicon import (
     normalize,
     rank_segmentations,
 )
+from qga.store import load_triples
 
 from conftest import MINI
 
@@ -45,32 +48,35 @@ def test_auto_surface_splitting():
     assert auto_surface('"1954-06-07"^^xsd:date') == "1954-06-07"
 
 
+def only_relation(kg, iri):
+    """The ranking of a surface that names one predicate and nothing else."""
+    return {CHAR_RELATION: ((kg.id_of(iri), EXACT_SCORE),)}
+
+
 def test_explicit_label_entry(tmp_path, mini_kg):
     labels = tmp_path / "labels.tsv"
     labels.write_text("dbo:almaMater\tgraduate from\n")
     lex = build_lexicon(mini_kg, labels, None)
-    entries = lex.lookup("graduate from")
-    assert [(mini_kg.iri_of(e.item), e.character) for e in entries] == [("dbo:almaMater", "relation")]
+    assert lex.ranked("graduate from") == only_relation(mini_kg, "dbo:almaMater")
 
 
 def test_auto_label_without_explicit_label(mini_kg):
     lex = build_lexicon(mini_kg)
-    entries = lex.lookup("death date")
-    assert len(entries) == 1 and mini_kg.iri_of(entries[0].item) == "dbo:deathDate"
+    assert lex.ranked("death date") == only_relation(mini_kg, "dbo:deathDate")
 
 
 def test_label_equal_to_auto_surface_gives_one_entry(tmp_path, mini_kg):
     labels = tmp_path / "labels.tsv"
     labels.write_text("dbo:deathDate\tDeath  Date\n")
-    entries = build_lexicon(mini_kg, labels, None).lookup("death date")
-    assert [(mini_kg.iri_of(e.item), e.character) for e in entries] == [("dbo:deathDate", "relation")]
+    lex = build_lexicon(mini_kg, labels, None)
+    assert lex.ranked("death date") == only_relation(mini_kg, "dbo:deathDate")
 
 
 def test_repeated_paraphrase_line_gives_one_entry(tmp_path, mini_kg):
     paraphrases = tmp_path / "paraphrases.tsv"
     paraphrases.write_text("studied at\tdbo:almaMater\nstudied at\tdbo:almaMater\n")
-    entries = build_lexicon(mini_kg, None, paraphrases).lookup("studied at")
-    assert [(mini_kg.iri_of(e.item), e.character) for e in entries] == [("dbo:almaMater", "relation")]
+    lex = build_lexicon(mini_kg, None, paraphrases)
+    assert lex.ranked("studied at") == only_relation(mini_kg, "dbo:almaMater")
 
 
 def test_label_unknown_iri_errors_with_line(tmp_path, mini_kg):
@@ -85,8 +91,8 @@ def test_empty_paraphrase_file_keeps_auto_labels(tmp_path, mini_kg):
     para = tmp_path / "para.tsv"
     para.write_text("")
     lex = build_lexicon(mini_kg, None, para)
-    assert lex.lookup("death date")
-    assert lex.lookup("scientist")
+    assert lex.ranked("death date")
+    assert lex.ranked("scientist")
 
 
 def test_paraphrase_must_target_predicate(tmp_path, mini_kg):
@@ -96,30 +102,52 @@ def test_paraphrase_must_target_predicate(tmp_path, mini_kg):
         build_lexicon(mini_kg, None, para)
 
 
-def test_repeated_adds_keep_one_entry_in_first_seen_order():
-    lex = Lexicon()
-    for item, character in [(5, "entity"), (2, "class"), (5, "entity"), (9, "entity"), (2, "class"), (5, "relation")]:
-        lex.add("Common  Name", item, character)
-    assert [(e.item, e.character) for e in lex.lookup("common name")] == [
-        (5, "entity"),
-        (2, "class"),
-        (9, "entity"),
-        (5, "relation"),
-    ]
-    assert lex.ranked("common name") == {"entity": ((5, 1.0), (9, 1.0)), "class": ((2, 1.0),), "relation": ((5, 1.0),)}
+def test_repeated_entries_rank_once_in_id_order():
+    pairs = [(5, "relation"), (9, "entity"), (2, "class"), (5, "entity"), (9, "entity"), (2, "class"), (3, "entity")]
+    lex = Lexicon([("Common  Name", item, character) for item, character in pairs] + [("  ", 1, "entity")])
+    ranked = lex.ranked("common name")
+    assert ranked == {"entity": ((3, 1.0), (5, 1.0), (9, 1.0)), "class": ((2, 1.0),), "relation": ((5, 1.0),)}
+    assert list(ranked) == list(CHARACTERS)
     assert len(lex) == 1
+    assert lex.surfaces_with_word_count(2) == ["common name"]
+
+
+def test_lexicon_retains_under_550_bytes_per_surface(tmp_path):
+    # the fixture plus 100 x its size in junk 3-cycles, as the fuzzy
+    # benchmark store is: about 10 000 one-word surfaces.  The bound holds
+    # when a surface keeps its ranking and its word-count index slot only.
+    kg_path = tmp_path / "kg.tsv"
+    with open(kg_path, "w", encoding="utf-8") as fh:
+        fh.write((MINI / "kg.tsv").read_text())
+        for i in range(3400):
+            a, b, c = (f"junkns:zzqx{3 * i + j}" for j in range(3))
+            rel = f"junkns:zzrel{i % 7}"
+            fh.write(f"{a}\t{rel}\t{b}\n{b}\t{rel}\t{c}\n{c}\t{rel}\t{a}\n")
+    kg = load_triples(kg_path)
+    tracemalloc.start()
+    try:
+        lex = build_lexicon(kg, MINI / "labels.tsv", MINI / "paraphrases.tsv")
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(lex) > 10_000
+    assert retained < 550 * len(lex), f"{retained} B for {len(lex)} surfaces"
 
 
 # -- candidate terms ----------------------------------------------------------
 
 
-def reference_candidate_terms(tokens, lexicon, k=10, fuzzy=False):
-    """Candidate generation by record and sort: every entry of every
-    matched surface is recorded with its score, an item keeps its best
-    score, and each (span, character) bucket is sorted by (-score, item id)
-    and cut to k.  The reference for ``generate_candidate_terms``."""
+def reference_candidate_terms(tokens, entries, k=10, fuzzy=False):
+    """Candidate generation by record and sort, from the raw (surface,
+    item, character) entries rather than a built lexicon: every entry of
+    every matched surface is recorded with its score, an item keeps its
+    best score, and each (span, character) bucket is sorted by (-score,
+    item id) and cut to k.  The reference for ``generate_candidate_terms``."""
     if not tokens:
         return []
+    by_surface = {}
+    for surface, item, character in entries:
+        by_surface.setdefault(normalize(surface), []).append((item, character))
     norm = [t.lower() for t in tokens]
     terms = []
     for start in range(len(norm)):
@@ -130,18 +158,17 @@ def reference_candidate_terms(tokens, lexicon, k=10, fuzzy=False):
             surface = normalize(" ".join(words))
             found = {}
 
-            def record(entry, score):
-                bucket = found.setdefault(entry.character, {})
-                if score > bucket.get(entry.item, -1.0):
-                    bucket[entry.item] = score
+            def record(pairs, score):
+                for item, character in pairs:
+                    bucket = found.setdefault(character, {})
+                    if score > bucket.get(item, -1.0):
+                        bucket[item] = score
 
-            for entry in lexicon.lookup(surface):
-                record(entry, EXACT_SCORE)
+            record(by_surface.get(surface, ()), EXACT_SCORE)
             if fuzzy:
-                for cand_surface in lexicon.surfaces_with_word_count(len(words)):
+                for cand_surface, pairs in by_surface.items():
                     if cand_surface != surface and _fuzzy_match(words, cand_surface):
-                        for entry in lexicon.lookup(cand_surface):
-                            record(entry, FUZZY_SCORE)
+                        record(pairs, FUZZY_SCORE)
 
             for character in (CHAR_ENTITY, CHAR_CLASS, CHAR_RELATION):
                 bucket = found.get(character)
@@ -185,31 +212,25 @@ def one_surface(m, typos=0):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     adds=lexicon_adds(),
-    later=lexicon_adds(),
     tokens=st.lists(st.sampled_from(WORDS), min_size=1, max_size=4),
     k=st.integers(1, 6),
     fuzzy=st.booleans(),
 )
-@example(adds=one_surface(12, 3), later=[], tokens=["alpha"], k=5, fuzzy=True)  # M > k
-@example(adds=one_surface(2, 6), later=[], tokens=["alpha"], k=5, fuzzy=True)  # M < k: fuzzy ids fill up
-@example(adds=one_surface(2, 6), later=[], tokens=["alpha"], k=1, fuzzy=True)
-@example(adds=one_surface(2, 6), later=[], tokens=["alpha"], k=5, fuzzy=False)
-@example(adds=one_surface(2) + [("alpa", 100, CHAR_ENTITY)], later=[], tokens=["alpha"], k=5, fuzzy=True)  # exact wins
-def test_candidate_terms_equal_the_record_and_sort_reference(adds, later, tokens, k, fuzzy):
-    lex = Lexicon()
-    for add in adds:
-        lex.add(*add)
-    assert generate_candidate_terms(tokens, lex, k=k, fuzzy=fuzzy) == reference_candidate_terms(tokens, lex, k, fuzzy)
-    # adds after a query reach the next one
-    for add in later:
-        lex.add(*add)
-    assert generate_candidate_terms(tokens, lex, k=k, fuzzy=fuzzy) == reference_candidate_terms(tokens, lex, k, fuzzy)
+@example(adds=one_surface(12, 3), tokens=["alpha"], k=5, fuzzy=True)  # M > k
+@example(adds=one_surface(2, 6), tokens=["alpha"], k=5, fuzzy=True)  # M < k: fuzzy ids fill up
+@example(adds=one_surface(2, 6), tokens=["alpha"], k=1, fuzzy=True)
+@example(adds=one_surface(2, 6), tokens=["alpha"], k=5, fuzzy=False)
+@example(adds=one_surface(2) + [("alpa", 100, CHAR_ENTITY)], tokens=["alpha"], k=5, fuzzy=True)  # exact wins
+def test_candidate_terms_equal_the_record_and_sort_reference(adds, tokens, k, fuzzy):
+    lex = Lexicon(adds)
+    assert generate_candidate_terms(tokens, lex, k=k, fuzzy=fuzzy) == reference_candidate_terms(tokens, adds, k, fuzzy)
 
 
 def test_mini_candidate_terms_equal_the_reference_with_labels_equal_to_auto_surfaces(tmp_path, mini_kg):
     labels = tmp_path / "labels.tsv"
     labels.write_text((MINI / "labels.tsv").read_text() + "dbo:deathDate\tDeath  Date\nres:Alan_Turing\talan turing\n")
     lex = build_lexicon(mini_kg, labels, MINI / "paraphrases.tsv")
+    entries = list(_entries(mini_kg, labels, MINI / "paraphrases.tsv"))
     lines = (MINI / "queries.tsv").read_text().splitlines()
     queries = [line.split("\t")[1].split() for line in lines if line and not line.startswith("#")]
     assert len(queries) == 10
@@ -217,7 +238,7 @@ def test_mini_candidate_terms_equal_the_reference_with_labels_equal_to_auto_surf
         for k in (1, 2, 10):
             for fuzzy in (False, True):
                 assert generate_candidate_terms(tokens, lex, k=k, fuzzy=fuzzy) == reference_candidate_terms(
-                    tokens, lex, k, fuzzy
+                    tokens, entries, k, fuzzy
                 )
 
 
