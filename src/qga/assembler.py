@@ -71,11 +71,10 @@ def build_candidate_sets(aq) -> CandidateSets:
     vertex_sets: list[tuple[int, ...]] = []
     edge_sets: list[tuple[int, ...]] = []
     for term in aq.terms:
-        items = tuple(item for item, _ in term.candidates)
         if term.character == "relation":
-            edge_sets.append(items)
+            edge_sets.append(term.candidates)
         else:
-            vertex_sets.append(items)
+            vertex_sets.append(term.candidates)
     if edge_sets:
         while len(vertex_sets) < 2:
             vertex_sets.append((FREE_VAR,))

@@ -50,22 +50,21 @@ STOPWORDS = load_stopwords()
 class CandidateTerm:
     """One possible term: a token span, its character, and its candidates.
 
-    ``candidates`` is a score-descending tuple of (item id, match score)
-    pairs, capped at k.
+    ``candidates`` is a tuple of at most k item ids: the span's own surface's
+    items of that character first, in id order, then the fuzzy ones.
+    ``match_score`` is ``EXACT_SCORE`` when the span's own surface has items
+    of that character, else ``FUZZY_SCORE``.
     """
 
     start: int
     end: int
     character: str
-    candidates: tuple[tuple[int, float], ...]
+    candidates: tuple[int, ...]
+    match_score: float
 
     @property
     def span(self) -> tuple[int, int]:
         return (self.start, self.end)
-
-    @property
-    def match_score(self) -> float:
-        return self.candidates[0][1]
 
     def overlaps(self, other: "CandidateTerm") -> bool:
         return self.start < other.end and other.start < self.end
@@ -75,9 +74,6 @@ class CandidateTerm:
 class TermGraph:
     nodes: list[CandidateTerm]
     edges: set[tuple[int, int]]
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
 
 
 @dataclass
@@ -133,25 +129,29 @@ class Lexicon:
 
     ``Lexicon(entries)`` takes (surface, item, character) triples; each
     surface is normalized, an empty one dropped and a repeated entry counted
-    once.  ``ranked(surface)`` gives, per character, the surface's items in
-    id order, each with ``EXACT_SCORE``: the exact candidates in rank order,
-    so the top k are a slice; ``generate_candidate_terms`` applies the fuzzy
-    discount.  A built lexicon never changes."""
+    once.  ``ranked(surface)`` gives one id-sorted tuple of the surface's
+    items per character, in ``CHARACTERS`` order, ``()`` for a character the
+    surface lacks, or None for an unknown surface: the exact candidates in
+    rank order, so the top k are a slice.  A built lexicon never changes."""
 
     def __init__(self, entries):
-        # per surface, an insertion-ordered set of (item, character)
+        # per surface, an insertion-ordered set of (item, character), freed
+        # surface by surface as it is ranked
         found: dict[str, dict[tuple[int, str], None]] = {}
         for surface, item, character in entries:
             surface = normalize(surface)
             if surface:
                 found.setdefault(surface, {})[(item, character)] = None
-        self._ranked = {surface: _rank(pairs) for surface, pairs in found.items()}
         self._by_word_count: dict[int, list[str]] = {}
         for surface in found:
             self._by_word_count.setdefault(len(surface.split()), []).append(surface)
+        self._ranked: dict[str, tuple[tuple[int, ...], ...]] = {}
+        while found:
+            surface, pairs = found.popitem()
+            self._ranked[surface] = _rank(pairs)
 
-    def ranked(self, surface: str) -> dict[str, tuple[tuple[int, float], ...]]:
-        return self._ranked.get(surface, {})
+    def ranked(self, surface: str) -> tuple[tuple[int, ...], ...] | None:
+        return self._ranked.get(surface)
 
     def surfaces_with_word_count(self, wc: int) -> list[str]:
         return self._by_word_count.get(wc, [])
@@ -160,19 +160,13 @@ class Lexicon:
         return len(self._ranked)
 
 
-def _rank(entries) -> dict[str, tuple[tuple[int, float], ...]]:
-    """Per character, the (item, character) entries' items in id order,
-    each with ``EXACT_SCORE``."""
-    found: dict[str, list[tuple[int, float]]] = {}
+def _rank(entries) -> tuple[tuple[int, ...], ...]:
+    """Per character, in ``CHARACTERS`` order, the (item, character)
+    entries' items in id order."""
+    found: dict[str, list[int]] = {character: [] for character in CHARACTERS}
     for item, character in entries:
-        found.setdefault(character, []).append((item, EXACT_SCORE))
-    ranked = {}
-    for character in CHARACTERS:
-        candidates = found.get(character)
-        if candidates:
-            candidates.sort()
-            ranked[character] = tuple(candidates)
-    return ranked
+        found[character].append(item)
+    return tuple(tuple(sorted(items)) for items in found.values())
 
 
 def build_lexicon(kg: KnowledgeGraph, labels_path=None, paraphrase_path=None) -> Lexicon:
@@ -241,9 +235,9 @@ def generate_candidate_terms(
     """Emit a CandidateTerm for every (span, character) with lexicon matches.
 
     Every contiguous token subsequence is tried; spans made only of
-    stopwords are suppressed.  Per (span, character) the top-k candidates
-    are kept, score-descending with item id as the tie break: the exact
-    matches first, then the fuzzy ones.
+    stopwords are suppressed.  Per (span, character) the top-k candidate
+    ids are kept: the exact matches first, then the fuzzy ones, each in id
+    order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -266,26 +260,28 @@ def generate_candidate_terms(
                     for cand_surface in lexicon.surfaces_with_word_count(len(words))
                     if cand_surface != surface and _fuzzy_match(words, cand_surface)
                 ]
-            # exact holds its characters in CHARACTERS order; fuzzy surfaces may add others
-            for character in CHARACTERS if near else exact:
-                candidates = exact.get(character, ())[:k]
+            if exact is None and not near:
+                continue
+            for c, character in enumerate(CHARACTERS):
+                own = exact[c] if exact else ()
+                candidates = own[:k]
                 if near and len(candidates) < k:
-                    candidates = _with_fuzzy(candidates, [r[character] for r in near if character in r], k)
+                    candidates = _with_fuzzy(candidates, [r[c] for r in near], k)
                 if candidates:
-                    terms.append(CandidateTerm(start=start, end=end, character=character, candidates=candidates))
+                    score = EXACT_SCORE if own else FUZZY_SCORE
+                    terms.append(CandidateTerm(start, end, character, candidates, score))
     return terms
 
 
 def _with_fuzzy(exact, near, k):
-    """Fill the exact candidates up to k with fuzzy ones: the ids of the
-    ``near`` tuples, merged smallest first, each once and none exact, at
-    ``FUZZY_SCORE``.  An item that is an exact match keeps its exact score."""
+    """Fill the exact candidate ids up to k with fuzzy ones: the ids of the
+    ``near`` tuples, merged smallest first, each once and none exact."""
     kept = list(exact)
-    seen = {item for item, _ in exact}
-    for item, _ in heapq.merge(*near):
+    seen = set(exact)
+    for item in heapq.merge(*near):
         if item not in seen:
             seen.add(item)
-            kept.append((item, FUZZY_SCORE))
+            kept.append(item)
             if len(kept) == k:
                 break
     return tuple(kept)
@@ -341,7 +337,7 @@ def rank_segmentations(
     """Score every clique and return the top-N annotated queries.
 
     score = (covered non-stopword tokens / total non-stopword tokens)
-          + mean(top candidate score of the chosen terms).
+          + mean(match score of the chosen terms).
     Ties: more covered tokens, fewer terms, lexicographic span order.
     """
     norm = [t.lower() for t in tokens]

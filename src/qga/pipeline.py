@@ -70,7 +70,7 @@ def _vectored_query(aq, tokens, table):
     """``aq`` without the candidates that have no vector, which no edge cost
     can score.  A term whose every candidate lacks a vector raises
     UnknownItemError naming the term."""
-    vectored = table.has_vector([item for term in aq.terms for item, _ in term.candidates])
+    vectored = table.has_vector([item for term in aq.terms for item in term.candidates])
     if vectored.all():
         return aq
     flags = iter(vectored.tolist())  # one flag per candidate, in term order

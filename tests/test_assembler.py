@@ -22,7 +22,7 @@ from qga.assembler import (
 )
 from qga.errors import ParseError, ResourceLimitError
 from qga.instances import build_random_graph, dump_instance, load_instance, random_instance, table_cost_source
-from qga.lexicon import CandidateTerm
+from qga.lexicon import EXACT_SCORE, CandidateTerm
 from qga.sat import truth_table_satisfiable
 
 from test_sat import random_3cnf
@@ -33,7 +33,8 @@ def term(start, end, character, items):
         start=start,
         end=end,
         character=character,
-        candidates=tuple((i, 1.0) for i in items),
+        candidates=tuple(items),
+        match_score=EXACT_SCORE,
     )
 
 

@@ -33,8 +33,8 @@ from qga.store import load_triples
 from conftest import MINI
 
 
-def term(start, end, character="entity", candidates=((0, 1.0),)):
-    return CandidateTerm(start=start, end=end, character=character, candidates=tuple(candidates))
+def term(start, end, character="entity", candidates=(0,)):
+    return CandidateTerm(start, end, character, tuple(candidates), EXACT_SCORE)
 
 
 # -- lexicon construction ---------------------------------------------------
@@ -50,7 +50,7 @@ def test_auto_surface_splitting():
 
 def only_relation(kg, iri):
     """The ranking of a surface that names one predicate and nothing else."""
-    return {CHAR_RELATION: ((kg.id_of(iri), EXACT_SCORE),)}
+    return ((), (), (kg.id_of(iri),))
 
 
 def test_explicit_label_entry(tmp_path, mini_kg):
@@ -106,16 +106,19 @@ def test_repeated_entries_rank_once_in_id_order():
     pairs = [(5, "relation"), (9, "entity"), (2, "class"), (5, "entity"), (9, "entity"), (2, "class"), (3, "entity")]
     lex = Lexicon([("Common  Name", item, character) for item, character in pairs] + [("  ", 1, "entity")])
     ranked = lex.ranked("common name")
-    assert ranked == {"entity": ((3, 1.0), (5, 1.0), (9, 1.0)), "class": ((2, 1.0),), "relation": ((5, 1.0),)}
-    assert list(ranked) == list(CHARACTERS)
+    assert CHARACTERS == (CHAR_ENTITY, CHAR_CLASS, CHAR_RELATION)
+    assert ranked == ((3, 5, 9), (2,), (5,))
     assert len(lex) == 1
     assert lex.surfaces_with_word_count(2) == ["common name"]
+    assert lex.ranked("name") is None
 
 
-def test_lexicon_retains_under_550_bytes_per_surface(tmp_path):
+def test_lexicon_retains_under_320_and_peaks_under_460_bytes_per_surface(tmp_path):
     # the fixture plus 100 x its size in junk 3-cycles, as the fuzzy
-    # benchmark store is: about 10 000 one-word surfaces.  The bound holds
-    # when a surface keeps its ranking and its word-count index slot only.
+    # benchmark store is: about 10 000 one-word surfaces.  The retained
+    # bound holds when a surface keeps one tuple of id tuples and its
+    # word-count index slot only; the peak bound when each surface's
+    # build-time entries are freed as it is ranked.
     kg_path = tmp_path / "kg.tsv"
     with open(kg_path, "w", encoding="utf-8") as fh:
         fh.write((MINI / "kg.tsv").read_text())
@@ -127,11 +130,12 @@ def test_lexicon_retains_under_550_bytes_per_surface(tmp_path):
     tracemalloc.start()
     try:
         lex = build_lexicon(kg, MINI / "labels.tsv", MINI / "paraphrases.tsv")
-        retained = tracemalloc.get_traced_memory()[0]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(lex) > 10_000
-    assert retained < 550 * len(lex), f"{retained} B for {len(lex)} surfaces"
+    assert retained < 320 * len(lex), f"{retained} B retained for {len(lex)} surfaces"
+    assert peak < 460 * len(lex), f"{peak} B peak for {len(lex)} surfaces"
 
 
 # -- candidate terms ----------------------------------------------------------
@@ -175,7 +179,9 @@ def reference_candidate_terms(tokens, entries, k=10, fuzzy=False):
                 if not bucket:
                     continue
                 ranked = sorted(bucket.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-                terms.append(CandidateTerm(start=start, end=end, character=character, candidates=tuple(ranked)))
+                # a term keeps its ids and the score of its first item only
+                ids = tuple(item for item, _ in ranked)
+                terms.append(CandidateTerm(start, end, character, ids, ranked[0][1]))
     return terms
 
 
@@ -247,7 +253,7 @@ def test_usa_ambiguity(mini_kg, mini_lexicon):
     terms = generate_candidate_terms(tokens, mini_lexicon, k=10)
     usa = [t for t in terms if (t.start, t.end) == (5, 6) and t.character == "entity"]
     assert len(usa) == 1
-    iris = {mini_kg.iri_of(item) for item, _ in usa[0].candidates}
+    iris = {mini_kg.iri_of(item) for item in usa[0].candidates}
     assert iris == {"res:USA_Today", "res:United_States"}
 
 
@@ -256,7 +262,7 @@ def test_class_match(mini_kg, mini_lexicon):
     assert len(terms) == 1
     t = terms[0]
     assert t.character == "class"
-    assert [mini_kg.iri_of(i) for i, _ in t.candidates] == ["dbo:Scientist"]
+    assert [mini_kg.iri_of(i) for i in t.candidates] == ["dbo:Scientist"]
 
 
 def test_no_matches_empty(mini_lexicon):
@@ -294,12 +300,12 @@ def test_fuzzy_single_edit(mini_kg, mini_lexicon):
 
 def test_overlapping_terms_not_adjacent():
     g = build_term_graph([term(3, 4), term(3, 6)])
-    assert not g.adjacent(0, 1)
+    assert (0, 1) not in g.edges
 
 
 def test_disjoint_terms_adjacent():
     g = build_term_graph([term(0, 1), term(1, 2)])
-    assert g.adjacent(0, 1)
+    assert (0, 1) in g.edges
 
 
 def test_single_term_graph():
