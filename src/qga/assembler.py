@@ -36,8 +36,6 @@ from .errors import ResourceLimitError
 
 FREE_VAR = -1  # synthetic vertex standing for an untyped variable
 
-BOUND_NAMES = ("naive", "km", "greedy")
-
 
 @dataclass
 class CandidateSets:
@@ -465,6 +463,7 @@ def km_lb(state: SearchState, m: int) -> float:
 
 
 LOWER_BOUNDS = {"naive": naive_lb, "km": km_lb, "greedy": greedy_lb}
+BOUND_NAMES = tuple(LOWER_BOUNDS)
 
 
 def hungarian_min_assignment(costs):

@@ -95,9 +95,9 @@ def dump_instance(sets: CandidateSets, weights: dict, path) -> None:
 def load_instance(path):
     """Inverse of dump_instance; returns (CandidateSets, weight table).
 
-    Item ids are non-negative and unique within a set; every V/E index and
-    W key appears once, and the W keys are exactly the instance's (vertex
-    pair, edge set) combinations.  A W line's weight is finite, its
+    A V/E set is non-empty, its item ids non-negative and unique; every
+    V/E index and W key appears once, and the W keys are exactly the
+    instance's (vertex pair, edge set) combinations.  A W line's weight is finite, its
     predicate belongs to its edge set and its direction is 0 or 1.
     """
     n = m = None
@@ -119,6 +119,8 @@ def load_instance(path):
                 elif tag in sets_by_tag:
                     index = int(fields[1])
                     items = tuple(int(x) for x in fields[2:])
+                    if not items:
+                        raise ValueError(f"empty {tag} set {index}")
                     if index in sets_by_tag[tag]:
                         raise ValueError(f"repeated {tag} index {index}")
                     if any(x < 0 for x in items):

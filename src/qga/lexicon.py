@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ParseError, ResourceLimitError, UnknownItemError
-from .store import KIND_CLASS, KIND_ENTITY, KIND_PREDICATE, KnowledgeGraph
+from .store import KIND_CLASS, KIND_ENTITY, KIND_PREDICATE, KnowledgeGraph, read_tsv
 
 CHAR_ENTITY = "entity"
 CHAR_CLASS = "class"
@@ -111,18 +111,6 @@ def auto_surface(iri: str) -> str:
     return normalize(local)
 
 
-def _read_tsv(path):
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(path, line_no, f"expected 2 tab-separated fields, got {len(fields)}")
-            yield line_no, fields[0].strip(), fields[1].strip()
-
-
 class Lexicon:
     """surface phrase -> candidate graph items, ranked once when built, plus
     a word-count index used by the bounded fuzzy matcher.
@@ -181,7 +169,7 @@ def _entries(kg: KnowledgeGraph, labels_path, paraphrase_path):
         yield auto_surface(iri), item, _KIND_TO_CHAR[kind]
 
     if labels_path is not None:
-        for line_no, iri, label in _read_tsv(labels_path):
+        for line_no, (iri, label) in read_tsv(labels_path, 2):
             try:
                 item = kg.id_of(iri)
             except UnknownItemError:
@@ -189,7 +177,7 @@ def _entries(kg: KnowledgeGraph, labels_path, paraphrase_path):
             yield label, item, _KIND_TO_CHAR[kg.kind_of(item)]
 
     if paraphrase_path is not None:
-        for line_no, phrase, iri in _read_tsv(paraphrase_path):
+        for line_no, (phrase, iri) in read_tsv(paraphrase_path, 2):
             try:
                 item = kg.id_of(iri)
             except UnknownItemError:

@@ -6,6 +6,9 @@ Objects of the configured type predicate become classes, predicates become
 predicates, everything else is an entity.  Literal objects are interned like
 entities; their datatype (the part after ``^^``) is interned as a class.
 
+``load_triples`` reads the file in one pass through ``read_tsv``, the one
+tab-separated reader, which the lexicon's label and paraphrase files share.
+
 No query-time read scans the store: construction indexes the ids by kind and
 the triples by each bound-position shape, so a catalog or pattern read is one lookup.
 """
@@ -131,78 +134,59 @@ class KnowledgeGraph:
         return self.triples if p is WILDCARD else self._by_p.get(p, [])
 
 
-def _parse_line(path, line_no, line):
-    fields = line.split("\t")
-    if len(fields) != 3:
-        raise ParseError(path, line_no, f"expected 3 tab-separated fields, got {len(fields)}")
-    s, p, o = (f.strip() for f in fields)
-    if not s or not p or not o:
-        raise ParseError(path, line_no, "empty field")
-    return s, p, o
+def read_tsv(path, width: int):
+    """Yield ``(line_no, fields)`` for each data line of a tab-separated file.
+
+    Blank lines and lines starting with ``#`` are skipped; each field is
+    stripped; a line without exactly ``width`` fields raises ParseError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != width:
+                raise ParseError(path, line_no, f"expected {width} tab-separated fields, got {len(fields)}")
+            yield line_no, [f.strip() for f in fields]
 
 
 def load_triples(path, type_predicate: str = DEFAULT_TYPE_PREDICATE) -> KnowledgeGraph:
-    """Load a tab-separated triple file into a fully indexed store.
+    """Load a tab-separated triple file into a fully indexed store, in one pass.
 
     Lines are ``subject<TAB>predicate<TAB>object``; blank lines and lines
-    starting with ``#`` are skipped.  Duplicate triples are dropped.
+    starting with ``#`` are skipped.  Duplicate triples are dropped.  Names
+    are interned as read (subject, predicate, object, then a literal's
+    datatype); kinds are assigned once the file is read, because a name's
+    kind can depend on a later line.
     """
-    raw: list[tuple[str, str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            raw.append(_parse_line(path, line_no, line))
-
-    predicates = {p for _, p, _ in raw}
-    classes = {o for _, p, o in raw if p == type_predicate}
-    for _, _, o in raw:
-        m = _LITERAL_RE.match(o)
-        if m and m.group("dtype"):
-            classes.add(m.group("dtype"))
-
-    vertex_uses = {s for s, _, _ in raw} | {o for _, _, o in raw}
-    clash = predicates & (vertex_uses | classes)
-    if clash:
-        name = sorted(clash)[0]
-        raise KindConflictError(f"item used both as predicate and as vertex: {name!r}")
-
-    items: list[str] = []
-    kinds: list[int] = []
     id_of: dict[str, int] = {}
-
-    def intern(name: str, kind: int) -> int:
-        i = id_of.get(name)
-        if i is None:
-            i = len(items)
-            id_of[name] = i
-            items.append(name)
-            kinds.append(kind)
-        return i
-
-    def kind_for_vertex(name: str) -> int:
-        return KIND_CLASS if name in classes else KIND_ENTITY
-
-    triples: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
-    for s, p, o in raw:
-        si = intern(s, kind_for_vertex(s))
-        pi = intern(p, KIND_PREDICATE)
+    predicates: set[int] = set()
+    vertices: set[int] = set()
+    classes: set[int] = set()
+    triples: set[tuple[int, int, int]] = set()
+    for line_no, (s, p, o) in read_tsv(path, 3):
+        if not s or not p or not o:
+            raise ParseError(path, line_no, "empty field")
+        si = id_of.setdefault(s, len(id_of))
+        pi = id_of.setdefault(p, len(id_of))
+        oi = id_of.setdefault(o, len(id_of))
+        triples.add((si, pi, oi))
+        predicates.add(pi)
+        vertices.add(si)
+        vertices.add(oi)
+        if p == type_predicate:
+            classes.add(oi)
         lit = _LITERAL_RE.match(o)
-        oi = intern(o, kind_for_vertex(o))
-        t = (si, pi, oi)
-        if t not in seen:
-            seen.add(t)
-            triples.append(t)
         if lit and lit.group("dtype"):
-            intern(lit.group("dtype"), KIND_CLASS)
+            classes.add(id_of.setdefault(lit.group("dtype"), len(id_of)))
 
-    triples.sort()
-    return KnowledgeGraph(
-        type_predicate=type_predicate,
-        items=items,
-        kinds=kinds,
-        triples=triples,
-    )
-
+    items = list(id_of)
+    clash = predicates & (vertices | classes)
+    if clash:
+        name = min(items[i] for i in clash)
+        raise KindConflictError(f"item used both as predicate and as vertex: {name!r}")
+    kinds = [
+        KIND_PREDICATE if i in predicates else KIND_CLASS if i in classes else KIND_ENTITY for i in range(len(items))
+    ]
+    return KnowledgeGraph(type_predicate=type_predicate, items=items, kinds=kinds, triples=sorted(triples))

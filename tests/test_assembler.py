@@ -610,6 +610,8 @@ VALID_DUMP = "n 2\nm 1\nV 0 10\nV 1 11\nE 0 20\nW 0 10 1 11 0 0.5 20 0\n"
         (VALID_DUMP.replace(" 0.5 20 0\n", " 0.5 20 7\n"), 6, "direction 7"),
         (VALID_DUMP.replace(" 0.5 20 0\n", " nan 20 0\n"), 6, "non-finite weight"),
         (VALID_DUMP.replace(" 0.5 20 0\n", " inf 20 0\n"), 6, "non-finite weight"),
+        ("n 1\nm 0\nV 0\n", 3, "empty V set 0"),
+        (VALID_DUMP.replace("E 0 20\n", "E 0\n"), 5, "empty E set 0"),
     ],
     ids=[
         "negative-item",
@@ -621,6 +623,8 @@ VALID_DUMP = "n 2\nm 1\nV 0 10\nV 1 11\nE 0 20\nW 0 10 1 11 0 0.5 20 0\n"
         "bad-direction",
         "nan-weight",
         "inf-weight",
+        "empty-v-set",
+        "empty-e-set",
     ],
 )
 def test_load_instance_rejects(tmp_path, text, line_no, message):

@@ -85,6 +85,23 @@ def test_query_uninterpretable_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_query_infeasible_exit_code(tmp_path, capsys):
+    # two relation terms and no vertex term: no annotated query can be wired
+    vectors = train_vectors(tmp_path, epochs="1")
+    argv = ["query", "locate spouse", "--kb", KB, "--labels", LABELS, "--paraphrases", PARAPHRASES]
+    assert main(argv + ["--vectors", str(vectors)]) == 3
+    assert capsys.readouterr().err.startswith("infeasible assembly:")
+
+
+def test_query_single_entity_is_an_ask_with_its_answer(tmp_path, capsys):
+    # one entity term and no relation: the query asks whether it exists
+    vectors = train_vectors(tmp_path, epochs="1")
+    argv = ["query", "einstein", "--kb", KB, "--labels", LABELS, "--paraphrases", PARAPHRASES]
+    assert main(argv + ["--vectors", str(vectors)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == ["ask", "true", "answer: res:Albert_Einstein"]
+
+
 def test_solve_dumped_instance(tmp_path, capsys):
     sets, weights = random_instance(np.random.default_rng(3), 3, 2, 2)
     path = tmp_path / "inst.txt"

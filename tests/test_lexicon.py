@@ -87,6 +87,14 @@ def test_label_unknown_iri_errors_with_line(tmp_path, mini_kg):
     assert ":2:" in str(err.value)
 
 
+def test_label_wrong_field_count_errors_with_line(tmp_path, mini_kg):
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("\ndbo:almaMater\tgraduate from\nres:Alan_Turing\n")
+    with pytest.raises(ParseError, match=r":3: expected 2 tab-separated fields, got 1$") as err:
+        build_lexicon(mini_kg, labels, None)
+    assert err.value.line_no == 3
+
+
 def test_empty_paraphrase_file_keeps_auto_labels(tmp_path, mini_kg):
     para = tmp_path / "para.tsv"
     para.write_text("")

@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qga.errors import KindConflictError, ParseError, UnknownItemError
-from qga.store import KIND_CLASS, KIND_ENTITY, KIND_PREDICATE, WILDCARD, KnowledgeGraph, load_triples
+from qga.store import _LITERAL_RE, KIND_CLASS, KIND_ENTITY, KIND_PREDICATE, WILDCARD, KnowledgeGraph, load_triples
 
 
 def write(tmp_path, text, name="kg.tsv"):
@@ -28,9 +30,9 @@ def test_load_empty_file(tmp_path):
 
 
 def test_malformed_line_reports_line_number(tmp_path):
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ParseError, match=r":2: expected 3 tab-separated fields, got 2$") as err:
         load_triples(write(tmp_path, "a\tp\tb\nx\ty\n"))
-    assert ":2:" in str(err.value)
+    assert err.value.line_no == 2
 
 
 def test_comments_and_blanks_skipped(tmp_path):
@@ -142,3 +144,95 @@ def test_partial_binding_indexes(tmp_path):
     assert len(list(kg.match_pattern(None, p, b))) == 2
     assert len(list(kg.match_pattern(None, None, b))) == 3
     assert len(list(kg.match_pattern(kg.id_of("a"), None, b))) == 2
+
+
+def test_blank_field_is_an_empty_field_error(tmp_path):
+    with pytest.raises(ParseError, match=r":2: empty field$") as err:
+        load_triples(write(tmp_path, "a\tp\tb\na\t \tb\n"))
+    assert err.value.line_no == 2
+
+
+# -- the one-pass loader against a two-pass reference --------------------------
+
+
+def two_pass_load(path, type_predicate):
+    """Reference loader: read every line, then classify all names, check
+    for kind clashes, and intern and deduplicate in a second pass."""
+    raw = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ParseError(path, line_no, f"expected 3 tab-separated fields, got {len(fields)}")
+            s, p, o = (f.strip() for f in fields)
+            if not s or not p or not o:
+                raise ParseError(path, line_no, "empty field")
+            raw.append((s, p, o))
+
+    predicates = {p for _, p, _ in raw}
+    classes = {o for _, p, o in raw if p == type_predicate}
+    for _, _, o in raw:
+        m = _LITERAL_RE.match(o)
+        if m and m.group("dtype"):
+            classes.add(m.group("dtype"))
+    clash = predicates & ({s for s, _, _ in raw} | {o for _, _, o in raw} | classes)
+    if clash:
+        raise KindConflictError(f"item used both as predicate and as vertex: {sorted(clash)[0]!r}")
+
+    items, kinds, id_of = [], [], {}
+
+    def intern(name, kind):
+        if name not in id_of:
+            id_of[name] = len(items)
+            items.append(name)
+            kinds.append(kind)
+        return id_of[name]
+
+    def vertex_kind(name):
+        return KIND_CLASS if name in classes else KIND_ENTITY
+
+    triples = []
+    for s, p, o in raw:
+        t = (intern(s, vertex_kind(s)), intern(p, KIND_PREDICATE), intern(o, vertex_kind(o)))
+        if t not in triples:
+            triples.append(t)
+        m = _LITERAL_RE.match(o)
+        if m and m.group("dtype"):
+            intern(m.group("dtype"), KIND_CLASS)
+    return items, kinds, sorted(triples)
+
+
+# vertex names include literals with and without a datatype and a datatype
+# also used as a subject; a predicate name in a vertex position, or a
+# predicate as a datatype ('"z"^^q'), is a kind clash
+VERTICES = ["a", " b ", "C", "xsd:int", '"x"', '"1"^^xsd:int', '"y"^^C', '"z"^^q', "p"]
+PREDICATES = ["p", "q", "rdf:type", "isa"]
+TRIPLE = st.tuples(st.sampled_from(VERTICES), st.sampled_from(PREDICATES), st.sampled_from(VERTICES))
+FILLER = st.sampled_from(["", "   ", "# comment", "  #\ta\tp\tb", "\t\t"])
+RAGGED = st.lists(st.sampled_from(["a", " a ", "p", "", "  "]), min_size=2, max_size=4)  # wrong width or a blank field
+LINE = st.integers(0, 9).flatmap(
+    lambda i: TRIPLE.map("\t".join) if i < 7 else FILLER if i < 9 else RAGGED.map("\t".join)
+)
+
+
+def outcome(load):
+    try:
+        return load()
+    except (ParseError, KindConflictError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lines=st.lists(LINE, max_size=8), type_predicate=st.sampled_from(["rdf:type", "isa"]))
+def test_one_pass_load_equals_the_two_pass_reference(tmp_path_factory, lines, type_predicate):
+    path = tmp_path_factory.mktemp("kg") / "kg.tsv"
+    path.write_text("\n".join(lines) + "\n")
+
+    def one_pass():
+        kg = load_triples(path, type_predicate)
+        return kg.items, kg.kinds, kg.triples
+
+    assert outcome(one_pass) == outcome(lambda: two_pass_load(path, type_predicate))
