@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ParseError, ResourceLimitError, UnknownItemError
-from .store import KIND_CLASS, KIND_ENTITY, KIND_PREDICATE, KnowledgeGraph, read_tsv
+from .store import _LITERAL_RE, KIND_CLASS, KIND_ENTITY, KIND_PREDICATE, KnowledgeGraph, read_tsv
 
 CHAR_ENTITY = "entity"
 CHAR_CLASS = "class"
@@ -98,14 +98,15 @@ def normalize(phrase: str) -> str:
 
 
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+_NAMESPACE_RE = re.compile(r"[/#:]")
 
 
 def auto_surface(iri: str) -> str:
     """Derive a searchable phrase from an IRI local name or literal."""
-    lit = re.match(r'^"(?P<lex>.*)"(?:\^\^\S+)?$', iri)
+    lit = _LITERAL_RE.match(iri)
     if lit:
         return normalize(lit.group("lex"))
-    local = re.split(r"[/#:]", iri)[-1]
+    local = _NAMESPACE_RE.split(iri)[-1]
     local = local.replace("_", " ").replace("-", " ")
     local = _CAMEL_RE.sub(" ", local)
     return normalize(local)

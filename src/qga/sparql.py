@@ -57,7 +57,7 @@ def emit_sparql(q: QueryGraph, kg: KnowledgeGraph) -> StructuredQuery:
         rows.append(((s_term, kg.iri_of(e.predicate), o_term), e.predicted))
 
     is_ask = not select_vars
-    entity_answer = kg.iri_of(q.vertices[0]) if is_ask and not rows else None
+    entity_answer = kg.iri_of(q.vertices[0]) if is_ask and len(q.vertices) == 1 else None
     if not is_ask:
         head = "SELECT " + " ".join("?" + v for v in select_vars) + " WHERE {"
     elif entity_answer is not None:

@@ -9,8 +9,11 @@ entities; their datatype (the part after ``^^``) is interned as a class.
 ``load_triples`` reads the file in one pass through ``read_tsv``, the one
 tab-separated reader, which the lexicon's label and paraphrase files share.
 
-No query-time read scans the store: construction indexes the ids by kind and
-the triples by each bound-position shape, so a catalog or pattern read is one lookup.
+Construction indexes the ids by kind and the triples by the three shapes that
+bind the predicate, so a catalog read or a predicate-bound pattern read is one
+lookup.  A read that binds a subject or an object but not the predicate scans
+``triples``.  No keyword query makes one: every pattern that
+``sparql.emit_sparql`` writes names its predicate.
 """
 
 from __future__ import annotations
@@ -45,20 +48,14 @@ class KnowledgeGraph:
         self._by_kind: dict[int, list[int]] = {}
         for i, k in enumerate(self.kinds):
             self._by_kind.setdefault(k, []).append(i)
-        self._by_s: dict[int, list] = {}
         self._by_p: dict[int, list] = {}
-        self._by_o: dict[int, list] = {}
         self._by_sp: dict[tuple[int, int], list] = {}
         self._by_po: dict[tuple[int, int], list] = {}
-        self._by_so: dict[tuple[int, int], list] = {}
         for t in self.triples:
             s, p, o = t
-            self._by_s.setdefault(s, []).append(t)
             self._by_p.setdefault(p, []).append(t)
-            self._by_o.setdefault(o, []).append(t)
             self._by_sp.setdefault((s, p), []).append(t)
             self._by_po.setdefault((p, o), []).append(t)
-            self._by_so.setdefault((s, o), []).append(t)
 
     # -- catalog access -------------------------------------------------
 
@@ -122,16 +119,16 @@ class KnowledgeGraph:
         for x in (s, p, o):
             if x is not WILDCARD:
                 self._check_id(x)
-        if s is not WILDCARD and o is not WILDCARD:
-            pool = self._by_so.get((s, o), [])
-            if p is WILDCARD:
+        if p is WILDCARD:
+            if s is WILDCARD and o is WILDCARD:
+                return self.triples
+            return [t for t in self.triples if (s is WILDCARD or t[0] == s) and (o is WILDCARD or t[2] == o)]
+        if s is not WILDCARD:
+            pool = self._by_sp.get((s, p), [])
+            if o is WILDCARD:
                 return pool
             return [(s, p, o)] if (s, p, o) in pool else []  # a repeated triple matches once
-        if s is not WILDCARD:
-            return self._by_s.get(s, []) if p is WILDCARD else self._by_sp.get((s, p), [])
-        if o is not WILDCARD:
-            return self._by_o.get(o, []) if p is WILDCARD else self._by_po.get((p, o), [])
-        return self.triples if p is WILDCARD else self._by_p.get(p, [])
+        return self._by_p.get(p, []) if o is WILDCARD else self._by_po.get((p, o), [])
 
 
 def read_tsv(path, width: int):

@@ -2,10 +2,11 @@
 """Benchmark smoke: short runs of ``perfbench/run.py``, checked for a
 verdict, because run.py exits 0 even when answers are wrong.
 
-Three runs on seed 1, each ``--seconds`` long (default 1):
+Four runs on seed 1, each ``--seconds`` long (default 1):
 
-* mini and ambiguous, untraced: every answer is correct and no query
-  failed;
+* mini, ambiguous and inflated, untraced: every answer is correct and no
+  query failed; inflated asks mini's queries of its 102 102-triple
+  store;
 * ambiguous, traced: the same, and lazy costing survives the tracer's
   pass-through wrappers: the direct-form kernel scores under a quarter
   of the crossing edges (``kernels.pair_costs_rows`` <
@@ -29,7 +30,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUNS = (("mini", False), ("ambiguous", False), ("ambiguous", True))  # (workload, traced)
+RUNS = (("mini", False), ("ambiguous", False), ("inflated", False), ("ambiguous", True))  # (workload, traced)
 LAZY_ROWS_PER_EDGE = 0.25
 
 

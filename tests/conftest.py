@@ -47,6 +47,19 @@ def mini_queries():
     return rows
 
 
+def write_junk_store(path):
+    """Write the mini fixture plus 100 x its size in junk 3-cycles, as the
+    fuzzy benchmark store is: 10 302 triples, about 10 000 one-word
+    surfaces."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write((MINI / "kg.tsv").read_text())
+        for i in range(3400):
+            a, b, c = (f"junkns:zzqx{3 * i + j}" for j in range(3))
+            rel = f"junkns:zzrel{i % 7}"
+            fh.write(f"{a}\t{rel}\t{b}\n{b}\t{rel}\t{c}\n{c}\t{rel}\t{a}\n")
+    return path
+
+
 def gold_answers(qid):
     path = MINI / "gold" / f"{qid}.txt"
     return {line.strip() for line in path.read_text().splitlines() if line.strip()}

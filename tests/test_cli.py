@@ -102,6 +102,42 @@ def test_query_single_entity_is_an_ask_with_its_answer(tmp_path, capsys):
     assert lines[-3:] == ["ask", "true", "answer: res:Albert_Einstein"]
 
 
+def test_query_two_entities_without_a_relation_name_no_answer(tmp_path, capsys):
+    # an ASK over two fixed entities has no single entity to call the answer
+    vectors = train_vectors(tmp_path, epochs="1")
+    capsys.readouterr()
+    argv = ["query", "einstein princeton university", "--no-predict", "--kb", KB, "--labels", LABELS]
+    assert main(argv + ["--paraphrases", PARAPHRASES, "--vectors", str(vectors)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["ASK {", "}", "ask", "true"]
+
+
+def explain(keywords, vectors, capsys):
+    capsys.readouterr()
+    argv = ["query", keywords, "--kb", KB, "--labels", LABELS, "--paraphrases", PARAPHRASES]
+    assert main(argv + ["--vectors", str(vectors), "--explain"]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_explain_names_the_item_each_ambiguous_set_resolved_to(tmp_path, capsys):
+    # mini query q01: "USA" names the country and the newspaper
+    vectors = train_vectors(tmp_path, epochs="200")
+    lines = explain("scientist graduate from university locate USA", vectors, capsys)
+    assert "    resolved set 2 := res:United_States (over res:USA_Today)" in lines
+
+
+def test_explain_gives_a_losing_candidates_infeasible_reason(tmp_path, capsys):
+    vectors = train_vectors(tmp_path, epochs="200")
+    rows = [line for line in vectors.read_text().splitlines() if not line.startswith("dbo:University\t")]
+    vectors.write_text("\n".join(rows) + "\n")
+    lines = explain("einstein graduate from princeton university", vectors, capsys)
+    # the winner reads "princeton university" as one entity; AQ[1] splits it
+    assert lines[0].startswith("* AQ[0] ")
+    at = lines.index(
+        "  AQ[1] score=2.000 spans=[einstein:entity, graduate from:relation, princeton:entity, university:class]"
+    )
+    assert lines[at + 1] == "    infeasible: UnknownItemError: no candidate of class term 'university' has a vector"
+
+
 def test_solve_dumped_instance(tmp_path, capsys):
     sets, weights = random_instance(np.random.default_rng(3), 3, 2, 2)
     path = tmp_path / "inst.txt"

@@ -30,7 +30,7 @@ from qga.lexicon import (
 )
 from qga.store import load_triples
 
-from conftest import MINI
+from conftest import MINI, write_junk_store
 
 
 def term(start, end, character="entity", candidates=(0,)):
@@ -46,6 +46,7 @@ def test_auto_surface_splitting():
     assert auto_surface("dbo:almaMater") == "alma mater"
     assert auto_surface("http://example.org/ns#homeTown") == "home town"
     assert auto_surface('"1954-06-07"^^xsd:date') == "1954-06-07"
+    assert auto_surface('"Ulm"') == "ulm"
 
 
 def only_relation(kg, iri):
@@ -122,19 +123,10 @@ def test_repeated_entries_rank_once_in_id_order():
 
 
 def test_lexicon_retains_under_320_and_peaks_under_460_bytes_per_surface(tmp_path):
-    # the fixture plus 100 x its size in junk 3-cycles, as the fuzzy
-    # benchmark store is: about 10 000 one-word surfaces.  The retained
-    # bound holds when a surface keeps one tuple of id tuples and its
-    # word-count index slot only; the peak bound when each surface's
-    # build-time entries are freed as it is ranked.
-    kg_path = tmp_path / "kg.tsv"
-    with open(kg_path, "w", encoding="utf-8") as fh:
-        fh.write((MINI / "kg.tsv").read_text())
-        for i in range(3400):
-            a, b, c = (f"junkns:zzqx{3 * i + j}" for j in range(3))
-            rel = f"junkns:zzrel{i % 7}"
-            fh.write(f"{a}\t{rel}\t{b}\n{b}\t{rel}\t{c}\n{c}\t{rel}\t{a}\n")
-    kg = load_triples(kg_path)
+    # The retained bound holds when a surface keeps one tuple of id tuples
+    # and its word-count index slot only; the peak bound when each
+    # surface's build-time entries are freed as it is ranked.
+    kg = load_triples(write_junk_store(tmp_path / "kg.tsv"))
     tracemalloc.start()
     try:
         lex = build_lexicon(kg, MINI / "labels.tsv", MINI / "paraphrases.tsv")

@@ -1,11 +1,15 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qga.errors import KindConflictError, ParseError, UnknownItemError
+from qga.pipeline import PipelineConfig, answer_keywords
 from qga.store import _LITERAL_RE, KIND_CLASS, KIND_ENTITY, KIND_PREDICATE, WILDCARD, KnowledgeGraph, load_triples
+
+from conftest import write_junk_store
 
 
 def write(tmp_path, text, name="kg.tsv"):
@@ -99,18 +103,66 @@ def test_match_pattern_examples(tmp_path):
     assert len(full) == 1
 
 
-def test_match_pattern_agrees_with_has_triple_exhaustively(tmp_path):
-    kg = load_triples(write(tmp_path, "a\tp\tb\nb\tp\tc\nc\tq\ta\na\trdf:type\tT\n"))
-    ids = range(kg.num_items())
-    for s, p, o in itertools.product(ids, repeat=3):
-        expect = kg.has_triple(s, p, o)
-        got = len(list(kg.match_pattern(s, p, o))) == 1
-        assert got == expect
+@st.composite
+def small_stores(draw):
+    """A directly built store of up to 5 items and 15 triples, some repeated."""
+    n = draw(st.integers(1, 5))
+    ids = st.integers(0, n - 1)
+    triples = draw(st.lists(st.tuples(ids, ids, ids), max_size=12))
+    if triples:
+        triples += draw(st.lists(st.sampled_from(triples), max_size=3))
+    kinds = draw(st.lists(st.sampled_from((KIND_ENTITY, KIND_CLASS, KIND_PREDICATE)), min_size=n, max_size=n))
+    return KnowledgeGraph(items=[f"i{i}" for i in range(n)], kinds=kinds, triples=sorted(triples))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kg=small_stores())
+def test_match_pattern_agrees_with_has_triple_exhaustively(kg):
+    # every read of each of the 8 shapes against a filter over the triples
+    for s, p, o in itertools.product(range(kg.num_items()), repeat=3):
+        assert kg.has_triple(s, p, o) == ((s, p, o) in kg.triples)
         for bound in itertools.product((True, False), repeat=3):
             args = [x if b else WILDCARD for x, b in zip((s, p, o), bound)]
-            matched = list(kg.match_pattern(*args))
-            assert kg.count_pattern(*args) == len(matched)
-            assert matched == [t for t in kg.triples if all(a is WILDCARD or a == x for a, x in zip(args, t))]
+            expect = [t for t in kg.triples if all(a is WILDCARD or a == x for a, x in zip(args, t))]
+            if all(bound):
+                expect = expect[:1]  # a repeated triple matches once
+            assert list(kg.match_pattern(*args)) == expect
+            assert kg.count_pattern(*args) == len(expect)
+
+
+@pytest.mark.parametrize("predict", [True, False])
+def test_no_mini_query_reads_the_store_with_the_predicate_unbound(
+    predict, monkeypatch, mini_kg, mini_lexicon, mini_table, mini_queries
+):
+    # the store indexes only the predicate-bound shapes because the query
+    # path reads no others
+    reads = []
+    for name in ("match_pattern", "count_pattern", "has_triple"):
+
+        def spy(self, s=WILDCARD, p=WILDCARD, o=WILDCARD, _name=name, _real=getattr(KnowledgeGraph, name)):
+            reads.append((_name, (s, p, o)))
+            return _real(self, s, p, o)
+
+        monkeypatch.setattr(KnowledgeGraph, name, spy)
+    for _qid, tokens in mini_queries:
+        answer_keywords(tokens, mini_kg, mini_lexicon, mini_table, PipelineConfig(predict=predict))
+    assert {"match_pattern", "count_pattern"} <= {name for name, _ in reads}
+    assert [read for read in reads if read[1][1] is WILDCARD] == []
+
+
+def test_store_retains_at_most_520_bytes_per_triple(tmp_path):
+    # the lexicon memory test's 10 302-triple store: the three
+    # predicate-bound indexes keep about 440 B per triple, where one index
+    # per bound shape (six) would keep about 840
+    kg = load_triples(write_junk_store(tmp_path / "kg.tsv"))
+    tracemalloc.start()
+    try:
+        built = KnowledgeGraph(kg.type_predicate, kg.items, kg.kinds, kg.triples)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(built.triples) == 10_302
+    assert retained <= 520 * len(built.triples), f"{retained} B retained for {len(built.triples)} triples"
 
 
 def test_round_trip_and_catalog_partition(tmp_path):
