@@ -8,14 +8,15 @@ after every epoch; predicate vectors are normalized once at initialization.
 
 The assembly cost of wiring vertices v1, v2 with predicate p is the smaller
 of the two directed L2 residuals |v1 + p - v2| and |v2 + p - v1|, together
-with the direction that attained it.  Every cost function here hands its
-vertex pairs and its predicates to ``kernels.pair_costs``, which scores the
-whole pairs x predicates grid; a condensed edge weight is the min of one
-grid row.  Scoring computes each residual as ``(v1 - v2) + p`` forward and
+with the direction that attained it; ties go to the forward direction, so
+the cost is exactly symmetric in v1 and v2.  A condensed edge weight is the
+minimum of that cost over a predicate set, the predicate ties broken by id.
+``condensed_edge_weights`` computes it for many vertex pairs with one call
+to ``kernels.pair_costs``, which scores the whole pairs x predicates grid.
+Scoring computes each residual as ``(v1 - v2) + p`` forward and
 ``(v1 - v2) - p`` reverse, training as ``(s + p) - o``; both sum a
-residual's squares left to right.  A single pair costs the same bits alone
-as inside a batch, so the per-cell and batched functions below agree
-exactly.
+residual's squares left to right, so a pair costs the same bits alone as
+inside a batch.
 """
 
 from __future__ import annotations
@@ -233,43 +234,18 @@ def load_table(path, kg: KnowledgeGraph) -> EmbeddingTable:
 # -- assembly cost ----------------------------------------------------------
 
 
-def triple_assembly_cost(table: EmbeddingTable, v1: int, v2: int, p: int):
-    """Cost of wiring (v1, v2) with predicate p, and the cheaper direction.
-
-    Ties resolve to the forward direction (v1 -> v2); swapping v1 and v2
-    compares the same two residuals, so the cost is exactly symmetric.
-    """
-    table.require(v1, v2, p)
-    costs, dirs = kernels.pair_costs(table.vectors, [v1], [v2], [p])
-    return float(costs[0, 0]), int(dirs[0, 0])
-
-
-def condensed_edge_weight(table: EmbeddingTable, v1: int, v2: int, predicates):
-    """Minimum assembly cost over a predicate candidate set.
-
-    Returns (cost, best predicate, direction); predicate ties break by id.
-    """
-    preds = sorted(predicates)
-    if not preds:
-        raise ValueError("empty predicate set")
-    table.require(v1, v2, *preds)
-    costs, dirs = kernels.pair_costs(table.vectors, [v1], [v2], preds)
-    best = int(np.argmin(costs[0]))
-    return float(costs[0, best]), preds[best], int(dirs[0, best])
-
-
 def condensed_edge_weights(table: EmbeddingTable, v1, v2, predicates):
-    """``condensed_edge_weight`` for many vertex pairs at once.
+    """The condensed edge weight of each vertex pair over ``predicates``.
 
     One kernel call covers the pairs x predicates grid; the argmin runs per
-    pair over the id-sorted predicates, so ties break by id exactly as in
-    the single-pair function.  Returns (costs, best predicates, directions)
-    arrays aligned with ``v1``/``v2``.
+    pair over the id-sorted predicates, so predicate ties break by id.
+    Returns (costs, best predicates, directions) arrays aligned with
+    ``v1``/``v2``.
 
-    Unlike ``condensed_edge_weight``, no id is checked for a vector: every
-    caller has already dropped the ids without one (``answer_keywords``
-    its unvectored candidates, the predictor its unvectored endpoints and
-    predicates), and an id without one would be scored as a zero vector.
+    No id is checked for a vector: every caller has already dropped the
+    ids without one (``answer_keywords`` its unvectored candidates, the
+    predictor its unvectored endpoints and predicates), and an id without
+    one would be scored as a zero vector.
     """
     preds = np.array(sorted(predicates), dtype=np.int64)
     if not len(preds):

@@ -103,10 +103,11 @@ def answer_keywords(tokens, kg, lexicon, table, config: PipelineConfig | None = 
         raise UninterpretableQueryError(f"no interpretation for tokens {tokens!r}")
 
     # class membership is carried by the class vertices themselves, so the
-    # type predicate is never a sensible implicit relation; the catalog's ids
-    # index kg.items directly
-    catalog, iris = kg.predicates, kg.items
-    predictable = [p for p in catalog if iris[p] != kg.type_predicate] or catalog
+    # type predicate is never a sensible implicit relation, not even when it
+    # is the only predicate (prediction then fails per candidate); the
+    # catalog's ids index kg.items directly
+    iris = kg.items
+    predictable = [p for p in kg.predicates if iris[p] != kg.type_predicate]
 
     candidates: list[CandidateResult] = []
     for aq in aqs:

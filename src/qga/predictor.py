@@ -23,7 +23,7 @@ import numpy as np
 
 from .assembler import FREE_VAR, AssembledEdge, QueryGraph
 from .embedding import condensed_edge_weights
-from .errors import UnknownItemError
+from .errors import QgaError, UnknownItemError
 
 
 def _find(parent, x: int) -> int:
@@ -105,6 +105,8 @@ def _vectored_predicates(table, predicates) -> list[int]:
     ints: ``condensed_edge_weights`` sorts them again on every call, and
     ``sorted`` compares ints faster than numpy scalars."""
     preds = np.array(sorted(predicates), dtype=np.int64)
+    if len(preds) == 0:
+        raise QgaError("no predicate to predict a relation with: the catalog holds only the type predicate")
     preds = preds[table.has_vector(preds)]
     if len(preds) == 0:
         raise UnknownItemError("no predicate in the catalog has a vector")

@@ -36,7 +36,12 @@ WILDCARD = None
 
 @dataclass
 class KnowledgeGraph:
-    """Immutable after load; all reads are thread-safe."""
+    """Immutable after load; all reads are thread-safe.
+
+    ``triples`` may be given in any order, as any iterable of id triples;
+    construction sorts it into a list in (s, p, o) order, the order every
+    read yields.
+    """
 
     type_predicate: str = DEFAULT_TYPE_PREDICATE
     items: list[str] = field(default_factory=list)
@@ -44,6 +49,7 @@ class KnowledgeGraph:
     triples: list[tuple[int, int, int]] = field(default_factory=list)
 
     def __post_init__(self):
+        self.triples = sorted(self.triples)
         self._id_of: dict[str, int] = {s: i for i, s in enumerate(self.items)}
         self._by_kind: dict[int, list[int]] = {}
         for i, k in enumerate(self.kinds):
@@ -186,4 +192,4 @@ def load_triples(path, type_predicate: str = DEFAULT_TYPE_PREDICATE) -> Knowledg
     kinds = [
         KIND_PREDICATE if i in predicates else KIND_CLASS if i in classes else KIND_ENTITY for i in range(len(items))
     ]
-    return KnowledgeGraph(type_predicate=type_predicate, items=items, kinds=kinds, triples=sorted(triples))
+    return KnowledgeGraph(type_predicate=type_predicate, items=items, kinds=kinds, triples=triples)

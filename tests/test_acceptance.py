@@ -20,7 +20,7 @@ from qga.assembler import (
     reduce_3sat,
     solve_qga,
 )
-from qga.embedding import EmbeddingTable, condensed_edge_weight, triple_assembly_cost
+from qga.embedding import EmbeddingTable
 from qga.instances import bench_lower_bounds, build_random_graph
 from qga.lexicon import TermGraph, enumerate_maximal_cliques
 from qga.pipeline import answer_keywords
@@ -34,7 +34,7 @@ from test_assembler import optimal_completion_cost
 from test_embedding import margin_loss, margin_loss_grad
 from test_lexicon import brute_force_maximal_cliques
 from test_pipeline import mean_popped
-from test_predictor import graph as component_graph, prufer_trees, table_from
+from test_predictor import condensed_edge_weight, graph as component_graph, prufer_trees, table_from, triple_assembly_cost
 from test_sat import random_3cnf
 from test_sparql import brute_force_bgp
 

@@ -21,11 +21,12 @@ from qga.assembler import (
     exact_costs,
     solve_qga,
 )
-from qga.embedding import DIR_FORWARD, EmbeddingTable, condensed_edge_weight
+from qga.embedding import DIR_FORWARD, EmbeddingTable
 from qga.errors import UnknownItemError
 from qga.instances import build_random_graph, table_cost_source
 
 from test_assembler import conflicts, wiring
+from test_predictor import condensed_edge_weight
 
 VERTICES = range(0, 8)
 PREDICATES = range(8, 12)

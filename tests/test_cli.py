@@ -305,3 +305,20 @@ def test_query_unknown_iri_prints_the_message_unquoted(tmp_path, capsys):
     vectors.write_text("dim=2\nno:such_thing\t0.5 0.25\n")
     assert main(["query", "einstein", "--kb", KB, "--vectors", str(vectors)]) == 1
     assert capsys.readouterr().err == f"error: {vectors}:2: unknown IRI 'no:such_thing'\n"
+
+
+def test_query_with_only_the_type_predicate_predicts_no_relation(tmp_path, capsys):
+    # the type predicate is never an implicit relation, not even when it is
+    # the only predicate: "ann bob" must not read "Ann rdf:type Bob"
+    kb = tmp_path / "kg.tsv"
+    kb.write_text("res:Ann\trdf:type\tdbo:Person\nres:Bob\trdf:type\tdbo:Person\n")
+    vectors = tmp_path / "vectors.tsv"
+    assert main(["train", "--kb", str(kb), "--dim", "8", "--epochs", "20", "--out", str(vectors)]) == 0
+    capsys.readouterr()
+    assert main(["query", "ann bob", "--kb", str(kb), "--vectors", str(vectors)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible assembly:")
+    assert "the catalog holds only the type predicate" in err
+    # one entity needs no prediction, and still answers
+    assert main(["query", "ann", "--kb", str(kb), "--vectors", str(vectors)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "answer: res:Ann"

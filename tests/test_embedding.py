@@ -11,16 +11,14 @@ from qga.embedding import (
     DIR_REVERSE,
     NEGATIVE_TRIES,
     TrainConfig,
-    condensed_edge_weight,
     load_table,
     save_table,
     train_transe,
-    triple_assembly_cost,
 )
 from qga.errors import QgaError, UnknownItemError, VectorFormatError
 from qga.store import load_triples
 
-from test_predictor import table_from
+from test_predictor import condensed_edge_weight, table_from, triple_assembly_cost
 
 
 # -- training ----------------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qga import kernels
 from qga.assembler import FREE_VAR, AssembledEdge, CandidateSets, QueryGraph
-from qga.embedding import DIR_FORWARD, EmbeddingTable, triple_assembly_cost
+from qga.embedding import DIR_FORWARD, EmbeddingTable
 from qga.errors import UnknownItemError
 from qga.predictor import (
     build_prediction_graph,
@@ -26,6 +27,36 @@ def table_from(rows):
         items=[f"i{i}" for i in range(vectors.shape[0])],
     )
 
+
+
+# -- scalar cost references -----------------------------------------------------
+# One pair at a time, for the tests to check the batched
+# embedding.condensed_edge_weights and the predictor against.
+
+
+def triple_assembly_cost(table, v1: int, v2: int, p: int):
+    """Cost of wiring (v1, v2) with predicate p, and the cheaper direction.
+
+    Ties resolve to the forward direction (v1 -> v2); swapping v1 and v2
+    compares the same two residuals, so the cost is exactly symmetric.
+    """
+    table.require(v1, v2, p)
+    costs, dirs = kernels.pair_costs(table.vectors, [v1], [v2], [p])
+    return float(costs[0, 0]), int(dirs[0, 0])
+
+
+def condensed_edge_weight(table, v1: int, v2: int, predicates):
+    """Minimum assembly cost over a predicate candidate set.
+
+    Returns (cost, best predicate, direction); predicate ties break by id.
+    """
+    preds = sorted(predicates)
+    if not preds:
+        raise ValueError("empty predicate set")
+    table.require(v1, v2, *preds)
+    costs, dirs = kernels.pair_costs(table.vectors, [v1], [v2], preds)
+    best = int(np.argmin(costs[0]))
+    return float(costs[0, best]), preds[best], int(dirs[0, best])
 
 def edge(set1, set2, v1=0, v2=0, p=0, w=0.0, predicted=False):
     return AssembledEdge(
