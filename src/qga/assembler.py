@@ -15,9 +15,8 @@ costed in full.  The solver is a best-first branch and bound
 over partial matchings that generates each state's children lazily, with a
 pluggable admissible lower bound (naive / km / greedy).  Edge costs come
 from a cost source: ``embedding_cost_source`` on the query path, and
-sources built on ``exact_costs`` for the 3-SAT reduction here and the
-weight tables of ``instances``.  A brute-force oracle, the solver's
-reference, lives here as well.
+``instances.table_cost_source`` for every synthetic instance.  A
+brute-force oracle, the solver's reference, lives here as well.
 """
 
 from __future__ import annotations
@@ -98,13 +97,11 @@ REFINE_MIN_EDGES = 64
 @dataclass
 class _LazyCosts:
     """What a graph needs to cost its remaining edges: the cost source's
-    ``exact(j, rows)``; per edge set, the position before which every edge
-    of the set is costed; and the costed row of each left node (None when
-    every left node is costed, so the row is the left node)."""
+    ``exact(j, rows)``, whose rows are the left nodes, and per edge set the
+    position before which every edge of the set is costed."""
 
     exact: object
     costed_to: list
-    rows: np.ndarray | None
 
 
 @dataclass
@@ -191,9 +188,8 @@ def _cost_edges(graph: CondensedBipartiteGraph, at: np.ndarray, right: int) -> N
     """Cost the edges of edge set ``right`` at positions ``at`` that have no cost yet."""
     at = at[np.isnan(graph.edge_weights[at])]
     if len(at):
-        lazy = graph.lazy
-        rows = graph.lefts[at] if lazy.rows is None else lazy.rows[graph.lefts[at]]
-        graph.edge_weights[at], graph.edge_best_p[at], graph.edge_direction[at] = lazy.exact(right, rows)
+        costs = graph.lazy.exact(right, graph.lefts[at])
+        graph.edge_weights[at], graph.edge_best_p[at], graph.edge_direction[at] = costs
         graph.edges_costed += len(at)
 
 
@@ -234,14 +230,15 @@ def build_condensed_graph(sets: CandidateSets, cost_source) -> CondensedBipartit
     array or a slice) selects.  Pairs involving a synthetic free variable
     are wired at zero cost with the smallest candidate predicate.
 
-    A graph of at most ``EAGER_EDGES`` edges is costed in full, and one
-    stable argsort of the (L, m) weight grid, whose flat index is
-    ``left * m + right``, gives the (weight, left, right) order.  A larger
-    one is sorted by lower bound; wherever an edge's interval overlaps one
-    before it, that run of edges is costed now and reordered by (weight,
-    flat index).  Any other edge's interval lies strictly between its
-    neighbours' costs, so the order is the same (weight, left, right) order,
-    and the remaining edges are costed on demand by ``ensure_exact``.
+    A graph with a free-variable set or at most ``EAGER_EDGES`` edges is
+    costed in full, and one stable argsort of the (L, m) weight grid, whose
+    flat index is ``left * m + right``, gives the (weight, left, right)
+    order.  Any other graph (whose R rows are then its L left nodes) is
+    sorted by lower bound; wherever an edge's interval overlaps one before
+    it, that run of edges is costed now and reordered by (weight, flat
+    index).  Every other edge's interval lies strictly between its
+    neighbours' costs, so the order is the same (weight, left, right)
+    order, and the remaining edges are costed on demand by ``ensure_exact``.
     """
     n, m = sets.n, sets.m
     if m >= 1 and n < 2:
@@ -287,22 +284,18 @@ def build_condensed_graph(sets: CandidateSets, cost_source) -> CondensedBipartit
         for j, predicates in enumerate(sets.edge_sets):
             best_p[free, j] = min(predicates)
     costed_nodes = (set1[costed], vertex1[costed], set2[costed], vertex2[costed])
-    lazy = False
+    lazy = free is None and num_left * m > EAGER_EDGES
     if m and len(costed_nodes[0]):
         bounds, exact = cost_source(*costed_nodes, sets.edge_sets)
-        lazy = num_left * m > EAGER_EDGES
         for j in range(0 if lazy else m):
             weights[costed, j], best_p[costed, j], direction[costed, j] = exact(j, slice(None))
 
     if lazy:
-        lower = np.zeros((num_left, m))
-        upper = np.zeros((num_left, m))
-        lo, hi = bounds()
-        lower[costed], upper[costed] = lo.T, hi.T
-        weights[costed] = np.nan
-        best_p[costed] = -1
-        direction[costed] = -1
-        order = np.argsort(lower.ravel())
+        lower, upper = (grid.T.ravel() for grid in bounds())
+        weights.fill(np.nan)
+        best_p.fill(-1)
+        direction.fill(-1)
+        order = np.argsort(lower)
     else:
         order = np.argsort(weights.ravel(), kind="stable")
     lefts, rights = np.divmod(order, max(m, 1))
@@ -319,9 +312,8 @@ def build_condensed_graph(sets: CandidateSets, cost_source) -> CondensedBipartit
         edges_costed=0 if lazy else len(costed_nodes[0]) * m,
     )
     if lazy:
-        rows = None if free is None else np.cumsum(costed) - 1
-        graph.lazy = _LazyCosts(exact, [0] * m, rows)
-        _settle_overlaps(graph, order, lower.ravel()[order], upper.ravel()[order])
+        graph.lazy = _LazyCosts(exact, [0] * m)
+        _settle_overlaps(graph, order, lower[order], upper[order])
     return graph
 
 
@@ -346,15 +338,6 @@ def _settle_overlaps(graph: CondensedBipartiteGraph, order, lower, upper) -> Non
     perm = np.lexsort((order[members], graph.edge_weights[members], np.cumsum(starts)))
     for array in (graph.lefts, graph.rights, graph.edge_weights, graph.edge_best_p, graph.edge_direction):
         array[members] = array[members[perm]]
-
-
-def exact_costs(weights, best_p, direction):
-    """A cost source's ``(bounds, exact)`` for (m, R) grids of costs already
-    known exactly: each interval is its cost alone."""
-    weights = np.asarray(weights, dtype=np.float64)
-    best_p = np.asarray(best_p, dtype=np.int64)
-    direction = np.asarray(direction, dtype=np.int8)
-    return (lambda: (weights, weights)), (lambda j, rows: (weights[j, rows], best_p[j, rows], direction[j, rows]))
 
 
 def embedding_cost_source(table):
@@ -735,52 +718,3 @@ def brute_force_oracle(graph: CondensedBipartiteGraph, cap: int = 10_000_000):
         return math.inf, None
     return best_cost, _graph_from_matched(graph, tuple(sorted(best_edges)))
 
-
-# -- 3-SAT reduction ---------------------------------------------------------
-
-
-def reduce_3sat(num_vars: int, clauses) -> CondensedBipartiteGraph:
-    """Encode a 3-CNF formula as an assembly instance.
-
-    One vertex set {x, not-x} per variable, one singleton vertex set per
-    clause, one singleton edge set per clause.  Wiring a clause's edge to
-    (clause vertex, one of its literal vertices) costs 0; every other wiring
-    costs 1.  The optimum is 0 iff the formula is satisfiable.
-    """
-    clauses = [tuple(c) for c in clauses]
-    if num_vars < 1:
-        raise ValueError("formula needs at least one variable")
-    for c in clauses:
-        if len(c) != 3:
-            raise ValueError(f"clause {c!r} does not have exactly 3 literals")
-        for lit in c:
-            if lit == 0 or abs(lit) > num_vars:
-                raise ValueError(f"literal {lit} out of range in clause {c!r}")
-
-    q = len(clauses)
-
-    def lit_vertex(lit: int) -> int:
-        # variable i: positive literal 2(i-1), negative 2(i-1)+1
-        return 2 * (abs(lit) - 1) + (0 if lit > 0 else 1)
-
-    clause_vertex = [2 * num_vars + j for j in range(q)]
-    predicate_id = [2 * num_vars + q + j for j in range(q)]
-
-    vertex_sets = [(2 * i, 2 * i + 1) for i in range(num_vars)]
-    vertex_sets += [(clause_vertex[j],) for j in range(q)]
-    edge_sets = [(predicate_id[j],) for j in range(q)]
-    sets = CandidateSets(vertex_sets, edge_sets)
-
-    zero_pairs = {
-        (min(lit_vertex(lit), clause_vertex[j]), max(lit_vertex(lit), clause_vertex[j]), j)
-        for j, clause in enumerate(clauses)
-        for lit in clause
-    }
-
-    def source(set1, v1, set2, v2, edge_sets):
-        pairs = list(zip(np.minimum(v1, v2).tolist(), np.maximum(v1, v2).tolist()))
-        weights = [[0.0 if (a, b, j) in zero_pairs else 1.0 for a, b in pairs] for j in range(q)]
-        best_p = np.repeat([[p[0]] for p in edge_sets], len(pairs), axis=1)
-        return exact_costs(weights, best_p, np.full(best_p.shape, DIR_FORWARD))
-
-    return build_condensed_graph(sets, source)

@@ -14,10 +14,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .assembler import BOUND_NAMES, brute_force_oracle, build_condensed_graph, reduce_3sat, solve_qga
+from .assembler import BOUND_NAMES, brute_force_oracle, build_condensed_graph, solve_qga
 from .embedding import TrainConfig, load_table, save_table, train_transe
 from .errors import InfeasibleAssemblyError, QgaError, UninterpretableQueryError
-from .instances import bench_lower_bounds, build_random_graph, load_instance, table_cost_source
+from .instances import bench_lower_bounds, build_random_graph, load_instance, reduce_3sat, table_cost_source
 from .lexicon import build_lexicon
 from .pipeline import PipelineConfig, answer_keywords
 from .sat import parse_dimacs, truth_table_satisfiable
@@ -173,7 +173,8 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_sat_check(args) -> int:
     num_vars, clauses = parse_dimacs(args.cnf)
-    graph = reduce_3sat(num_vars, clauses)
+    sets, weights = reduce_3sat(num_vars, clauses)
+    graph = build_condensed_graph(sets, table_cost_source(weights))
     q, stats = solve_qga(graph, bound="greedy")
     optimum = q.total_cost if q is not None else math.inf
     sat = optimum <= 1e-9

@@ -1,5 +1,6 @@
-"""Synthetic assembly instances: random generation, the weight-table cost
-source, a replay format and the lower-bound sweep of ``qga bench``.
+"""Synthetic assembly instances: random generation, the 3-SAT reduction,
+the weight-table cost source, a replay format and the lower-bound sweep of
+``qga bench``.
 
 An instance is a ``CandidateSets`` plus a weight table: a dict keyed
 (set1, v1, set2, v2, j) whose values are (weight, best_p, direction) for
@@ -11,19 +12,31 @@ that vertex pair and edge set.  The dump format is line-oriented text:
     E 0 40 41
     W <set1> <v1> <set2> <v2> <j> <weight> <best_p> <dir>
 
-with one W line per (vertex pair, edge set) combination.
+with one W line per key of ``instance_keys``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembler import BOUND_NAMES, CandidateSets, SolveStats, build_condensed_graph, exact_costs, solve_qga
+from .assembler import BOUND_NAMES, CandidateSets, SolveStats, build_condensed_graph, solve_qga
+from .embedding import DIR_FORWARD
 from .errors import ParseError
+
+
+def instance_keys(sets: CandidateSets):
+    """Yield the weight-table key (set1, v1, set2, v2, j) of every vertex
+    pair and edge set: set pairs in order, then the two vertices, then j."""
+    for i1, i2 in itertools.combinations(range(sets.n), 2):
+        for v1 in sets.vertex_sets[i1]:
+            for v2 in sets.vertex_sets[i2]:
+                for j in range(sets.m):
+                    yield i1, v1, i2, v2, j
 
 
 def random_instance(rng: np.random.Generator, n: int, m: int, k: int, exact_sizes: bool = False):
@@ -51,16 +64,55 @@ def random_instance(rng: np.random.Generator, n: int, m: int, k: int, exact_size
     edge_sets = [fresh(size()) for _ in range(m)]
     sets = CandidateSets(vertex_sets, edge_sets)
     weights: dict = {}
-    for i1 in range(n):
-        for i2 in range(i1 + 1, n):
-            for v1 in vertex_sets[i1]:
-                for v2 in vertex_sets[i2]:
-                    for j, preds in enumerate(edge_sets):
-                        w = float(rng.random())
-                        best_p = preds[int(rng.integers(0, len(preds)))]
-                        direction = int(rng.integers(0, 2))
-                        weights[(i1, v1, i2, v2, j)] = (w, best_p, direction)
+    for key in instance_keys(sets):
+        w = float(rng.random())
+        preds = edge_sets[key[4]]
+        best_p = preds[int(rng.integers(0, len(preds)))]
+        direction = int(rng.integers(0, 2))
+        weights[key] = (w, best_p, direction)
     return sets, weights
+
+
+def reduce_3sat(num_vars: int, clauses):
+    """Encode a 3-CNF formula as an assembly instance (CandidateSets,
+    weight table).
+
+    One vertex set {x, not-x} per variable, one singleton vertex set per
+    clause, one singleton edge set per clause.  Wiring a clause's edge to
+    (one of its literal vertices, clause vertex) costs 0; every other wiring
+    costs 1.  The optimum is 0 iff the formula is satisfiable.
+    """
+    clauses = [tuple(c) for c in clauses]
+    if num_vars < 1:
+        raise ValueError("formula needs at least one variable")
+    for c in clauses:
+        if len(c) != 3:
+            raise ValueError(f"clause {c!r} does not have exactly 3 literals")
+        for lit in c:
+            if lit == 0 or abs(lit) > num_vars:
+                raise ValueError(f"literal {lit} out of range in clause {c!r}")
+
+    q = len(clauses)
+    # variable i: vertices 2(i-1) for x_i and 2(i-1)+1 for not-x_i; clause j:
+    # vertex 2p+j and predicate 2p+q+j.  A literal's vertex is its pair's v1.
+    vertex_sets = [(v, v + 1) for v in range(0, 2 * num_vars, 2)] + [(2 * num_vars + j,) for j in range(q)]
+    edge_sets = [(2 * num_vars + q + j,) for j in range(q)]
+    zero = {(2 * abs(lit) - 2 + (lit < 0), 2 * num_vars + j, j) for j, c in enumerate(clauses) for lit in c}
+    sets = CandidateSets(vertex_sets, edge_sets)
+    weights = {
+        (i1, v1, i2, v2, j): (0.0 if (v1, v2, j) in zero else 1.0, edge_sets[j][0], DIR_FORWARD)
+        for i1, v1, i2, v2, j in instance_keys(sets)
+    }
+    return sets, weights
+
+
+def exact_costs(weights, best_p, direction):
+    """A cost source's ``(bounds, exact)`` for (m, R) grids of costs already
+    known exactly: each interval is its cost alone."""
+    weights = np.asarray(weights, dtype=np.float64)
+    best_p = np.asarray(best_p, dtype=np.int64)
+    direction = np.asarray(direction, dtype=np.int8)
+    return (lambda: (weights, weights)), (lambda j, rows: (weights[j, rows], best_p[j, rows], direction[j, rows]))
 
 
 def table_cost_source(weight_table: dict):
@@ -95,12 +147,13 @@ def dump_instance(sets: CandidateSets, weights: dict, path) -> None:
 def load_instance(path):
     """Inverse of dump_instance; returns (CandidateSets, weight table).
 
-    A V/E set is non-empty, its item ids non-negative and unique; every
-    V/E index and W key appears once, and the W keys are exactly the
-    instance's (vertex pair, edge set) combinations.  A W line's weight is finite, its
-    predicate belongs to its edge set and its direction is 0 or 1.
+    The n and m lines appear once with one value each, and W lines have
+    eight values.  A V/E set is non-empty, its item ids non-negative and
+    unique; every V/E index and W key appears once, and the W keys are
+    exactly ``instance_keys``.  A W line's weight is finite, its predicate
+    belongs to its edge set and its direction is 0 or 1.
     """
-    n = m = None
+    header: dict[str, int] = {}
     sets_by_tag: dict[str, dict[int, tuple[int, ...]]] = {"V": {}, "E": {}}
     weights: dict = {}
     weight_lines: dict = {}
@@ -112,10 +165,13 @@ def load_instance(path):
             fields = line.split()
             tag = fields[0]
             try:
-                if tag == "n":
-                    n = int(fields[1])
-                elif tag == "m":
-                    m = int(fields[1])
+                want = {"n": 1, "m": 1, "W": 8}.get(tag)  # values after the tag
+                if want is not None and len(fields) - 1 != want:
+                    raise ValueError(f"{tag} line has {len(fields) - 1} values, expected {want}")
+                if tag in ("n", "m"):
+                    if tag in header:
+                        raise ValueError(f"repeated {tag} line")
+                    header[tag] = int(fields[1])
                 elif tag in sets_by_tag:
                     index = int(fields[1])
                     items = tuple(int(x) for x in fields[2:])
@@ -129,8 +185,7 @@ def load_instance(path):
                         raise ValueError(f"repeated item in {tag} {index}")
                     sets_by_tag[tag][index] = items
                 elif tag == "W":
-                    i1, v1, i2, v2, j = (int(x) for x in fields[1:6])
-                    key = (i1, v1, i2, v2, j)
+                    key = tuple(int(x) for x in fields[1:6])
                     if key in weights:
                         raise ValueError(f"repeated W key {key}")
                     weight, best_p, direction = float(fields[6]), int(fields[7]), int(fields[8])
@@ -144,20 +199,14 @@ def load_instance(path):
                     raise ValueError(f"unknown tag {tag!r}")
             except (IndexError, ValueError) as exc:
                 raise ParseError(path, line_no, str(exc))
-    if n is None or m is None:
+    if len(header) < 2:
         raise ParseError(path, 0, "missing n/m header")
+    n, m = header["n"], header["m"]
     vertex_sets, edge_sets = sets_by_tag["V"], sets_by_tag["E"]
     if sorted(vertex_sets) != list(range(n)) or sorted(edge_sets) != list(range(m)):
         raise ParseError(path, 0, "vertex/edge set indices do not match n/m")
     sets = CandidateSets([vertex_sets[i] for i in range(n)], [edge_sets[j] for j in range(m)])
-    expected = [
-        (i1, v1, i2, v2, j)
-        for i1 in range(n)
-        for i2 in range(i1 + 1, n)
-        for v1 in sets.vertex_sets[i1]
-        for v2 in sets.vertex_sets[i2]
-        for j in range(m)
-    ]
+    expected = list(instance_keys(sets))
     missing = [key for key in expected if key not in weights]
     if missing:
         raise ParseError(path, 0, f"weight table incomplete, e.g. missing {missing[0]}")

@@ -11,16 +11,21 @@ from .errors import ParseError
 def parse_dimacs(path):
     """Parse a DIMACS CNF file with exactly 3 literals per clause.
 
+    Clauses are one stream of literals, each ended by a ``0``, within and
+    across lines; a ``%`` line (SATLIB's trailer) ends them.
     Returns (num_vars, clauses).
     """
     num_vars = None
     num_clauses = None
     clauses: list[tuple[int, int, int]] = []
+    lits: list[int] = []  # the clause still open
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("c"):
                 continue
+            if line.startswith("%"):
+                break
             if line.startswith("p"):
                 fields = line.split()
                 if len(fields) != 4 or fields[1] != "cnf":
@@ -32,21 +37,25 @@ def parse_dimacs(path):
                 continue
             if num_vars is None:
                 raise ParseError(path, line_no, "clause before problem line")
-            try:
-                lits = [int(x) for x in line.split()]
-            except ValueError:
-                raise ParseError(path, line_no, f"bad clause line {line!r}")
-            if not lits or lits[-1] != 0:
-                raise ParseError(path, line_no, "clause must end with 0")
-            lits = lits[:-1]
-            if len(lits) != 3:
-                raise ParseError(path, line_no, f"expected 3 literals, got {len(lits)}")
-            for lit in lits:
-                if lit == 0 or abs(lit) > num_vars:
+            for token in line.split():
+                try:
+                    lit = int(token)
+                except ValueError:
+                    raise ParseError(path, line_no, f"bad literal {token!r}")
+                if abs(lit) > num_vars:
                     raise ParseError(path, line_no, f"literal {lit} out of range")
-            clauses.append(tuple(lits))
+                if lit:
+                    lits.append(lit)
+                    open_line = line_no
+                elif len(lits) != 3:
+                    raise ParseError(path, line_no, f"expected 3 literals, got {len(lits)}")
+                else:
+                    clauses.append(tuple(lits))
+                    lits = []
     if num_vars is None:
         raise ParseError(path, 0, "missing problem line")
+    if lits:
+        raise ParseError(path, open_line, "clause not ended by 0")
     if num_clauses is not None and num_clauses != len(clauses):
         raise ParseError(path, 0, f"expected {num_clauses} clauses, found {len(clauses)}")
     return num_vars, clauses

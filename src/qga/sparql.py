@@ -154,9 +154,14 @@ def evaluate_bgp(sq: StructuredQuery, kg: KnowledgeGraph) -> list[dict[str, int]
     at the first step that leaves no rows.  Rows are projected to
     ``select_vars``, deduplicated and sorted by bound ids.  A query with no
     projection (an ASK) gives one empty row when the pattern set is
-    satisfiable, none otherwise.
+    satisfiable, none otherwise.  A selected variable that no pattern
+    names raises ValueError, and an unknown IRI UnknownItemError, before
+    any join work.
     """
-    # id_of raises UnknownItemError on an unknown IRI, before any join work
+    named = {t.name for pat in sq.patterns for t in pat if isinstance(t, Var)}
+    for v in sq.select_vars:
+        if v not in named:
+            raise ValueError(f"selected variable ?{v} appears in no pattern")
     resolved = [tuple([t if isinstance(t, Var) else kg.id_of(t) for t in pat]) for pat in sq.patterns]
     if not resolved:
         return [{}]

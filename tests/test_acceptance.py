@@ -13,15 +13,15 @@ import pytest
 from qga.assembler import (
     BOUND_NAMES,
     brute_force_oracle,
+    build_condensed_graph,
     greedy_lb,
     hungarian_min_assignment,
     km_lb,
     naive_lb,
-    reduce_3sat,
     solve_qga,
 )
 from qga.embedding import EmbeddingTable
-from qga.instances import bench_lower_bounds, build_random_graph
+from qga.instances import bench_lower_bounds, build_random_graph, reduce_3sat, table_cost_source
 from qga.lexicon import TermGraph, enumerate_maximal_cliques
 from qga.pipeline import answer_keywords
 from qga.predictor import build_prediction_graph, connected_components, minimum_spanning_tree
@@ -141,7 +141,8 @@ def test_criterion_4_sat_reduction_equivalence():
         p = int(rng.integers(1, 7))
         q_count = int(rng.integers(1, 9))
         clauses = random_3cnf(rng, p, q_count)
-        graph = reduce_3sat(p, clauses)
+        sets, weights = reduce_3sat(p, clauses)
+        graph = build_condensed_graph(sets, table_cost_source(weights))
         solved, _ = solve_qga(graph, bound="greedy")
         got = solved is not None and solved.total_cost <= 1e-9
         agree += got == truth_table_satisfiable(p, clauses)

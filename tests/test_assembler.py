@@ -17,11 +17,17 @@ from qga.assembler import (
     hungarian_min_assignment,
     km_lb,
     naive_lb,
-    reduce_3sat,
     solve_qga,
 )
 from qga.errors import ParseError, ResourceLimitError
-from qga.instances import build_random_graph, dump_instance, load_instance, random_instance, table_cost_source
+from qga.instances import (
+    build_random_graph,
+    dump_instance,
+    load_instance,
+    random_instance,
+    reduce_3sat,
+    table_cost_source,
+)
 from qga.lexicon import EXACT_SCORE, CandidateTerm
 from qga.sat import truth_table_satisfiable
 
@@ -546,14 +552,19 @@ def test_oracle_cap():
 # -- 3-SAT reduction --------------------------------------------------------------
 
 
+def sat_graph(num_vars, clauses):
+    sets, weights = reduce_3sat(num_vars, clauses)
+    return build_condensed_graph(sets, table_cost_source(weights))
+
+
 def test_single_clause_satisfiable():
-    g = reduce_3sat(3, [(1, 2, -3)])
+    g = sat_graph(3, [(1, 2, -3)])
     q, _ = solve_qga(g)
     assert q.total_cost == 0.0
 
 
 def test_contradiction_unsatisfiable():
-    g = reduce_3sat(1, [(1, 1, 1), (-1, -1, -1)])
+    g = sat_graph(1, [(1, 1, 1), (-1, -1, -1)])
     q, _ = solve_qga(g)
     assert q is not None and q.total_cost >= 1.0
 
@@ -573,7 +584,7 @@ def test_reduction_agrees_with_truth_table_quick():
         p = int(rng.integers(1, 5))
         q_count = int(rng.integers(1, 6))
         clauses = random_3cnf(rng, p, q_count)
-        g = reduce_3sat(p, clauses)
+        g = sat_graph(p, clauses)
         solved, _ = solve_qga(g)
         got = solved is not None and solved.total_cost <= 1e-9
         assert got == truth_table_satisfiable(p, clauses)
@@ -612,6 +623,12 @@ VALID_DUMP = "n 2\nm 1\nV 0 10\nV 1 11\nE 0 20\nW 0 10 1 11 0 0.5 20 0\n"
         (VALID_DUMP.replace(" 0.5 20 0\n", " inf 20 0\n"), 6, "non-finite weight"),
         ("n 1\nm 0\nV 0\n", 3, "empty V set 0"),
         (VALID_DUMP.replace("E 0 20\n", "E 0\n"), 5, "empty E set 0"),
+        (VALID_DUMP.replace("n 2\n", "n 2 7\n"), 1, "n line has 2 values, expected 1"),
+        (VALID_DUMP.replace("m 1\n", "m\n"), 2, "m line has 0 values, expected 1"),
+        (VALID_DUMP.replace(" 0.5 20 0\n", " 0.5 20 0 1\n"), 6, "W line has 9 values, expected 8"),
+        (VALID_DUMP.replace(" 0.5 20 0\n", " 0.5 20\n"), 6, "W line has 7 values, expected 8"),
+        (VALID_DUMP + "n 3\n", 7, "repeated n line"),
+        (VALID_DUMP.replace("m 1\n", "m 1\nm 1\n"), 3, "repeated m line"),
     ],
     ids=[
         "negative-item",
@@ -625,6 +642,12 @@ VALID_DUMP = "n 2\nm 1\nV 0 10\nV 1 11\nE 0 20\nW 0 10 1 11 0 0.5 20 0\n"
         "inf-weight",
         "empty-v-set",
         "empty-e-set",
+        "n-extra-value",
+        "m-no-value",
+        "w-extra-value",
+        "w-missing-value",
+        "repeated-n",
+        "repeated-m",
     ],
 )
 def test_load_instance_rejects(tmp_path, text, line_no, message):

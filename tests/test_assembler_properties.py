@@ -18,12 +18,11 @@ from qga.assembler import (
     build_condensed_graph,
     compatible_with,
     embedding_cost_source,
-    exact_costs,
     solve_qga,
 )
 from qga.embedding import DIR_FORWARD, EmbeddingTable
 from qga.errors import UnknownItemError
-from qga.instances import build_random_graph, table_cost_source
+from qga.instances import build_random_graph, exact_costs, table_cost_source
 
 from test_assembler import conflicts, wiring
 from test_predictor import condensed_edge_weight

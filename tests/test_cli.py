@@ -1,9 +1,10 @@
 import re
 
 import numpy as np
+import pytest
 
 from qga.cli import main
-from qga.instances import dump_instance, random_instance
+from qga.instances import dump_instance, load_instance, random_instance, reduce_3sat
 
 from conftest import MINI
 from test_sat import write_dimacs
@@ -190,6 +191,24 @@ def test_sat_check(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert code == 0
     assert "UNSATISFIABLE" in captured
+
+
+@pytest.mark.parametrize(
+    "num_vars, clauses, optimum",
+    [(3, [(1, 2, -3), (-1, -2, 3), (2, 2, -1)], 0.0), (1, [(1, 1, 1), (-1, -1, -1)], 1.0)],
+    ids=["satisfiable", "unsatisfiable"],
+)
+def test_a_reduced_formula_replays_with_solve(tmp_path, capsys, num_vars, clauses, optimum):
+    cnf, dump = tmp_path / "f.cnf", tmp_path / "f.txt"
+    write_dimacs(cnf, num_vars, clauses)
+    assert main(["sat-check", "--cnf", str(cnf)]) == 0
+    reported = float(re.search(r"optimum=(\S+) ", capsys.readouterr().out).group(1))
+    sets, weights = reduce_3sat(num_vars, clauses)
+    dump_instance(sets, weights, dump)
+    assert load_instance(dump) == (sets, weights)
+    assert main(["solve", "--instance", str(dump)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"optimal cost {reported:.6f}"
+    assert reported == optimum
 
 
 def test_oracle_check(capsys):

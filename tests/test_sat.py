@@ -68,6 +68,41 @@ def test_dimacs_bad_problem_line_names_the_line(tmp_path):
         parse_dimacs(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p cnf 3 2\n1 -2 3 0 -1 2 -3 0\n",
+        "p cnf 3 2\n1\n-2 3\n0 -1 2\n-3 0\n",
+        # the last lines of every file in SATLIB's uniform random 3-SAT set
+        "c uf3\np cnf 3 2\n 1 -2 3 0\n-1 2 -3 0\n%\n0\n\n",
+    ],
+    ids=["two-on-one-line", "split-across-lines", "satlib-trailer"],
+)
+def test_dimacs_clauses_are_a_token_stream(tmp_path, text):
+    path = tmp_path / "f.cnf"
+    path.write_text(text)
+    assert parse_dimacs(path) == (3, [(1, -2, 3), (-1, 2, -3)])
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("p cnf 3 1\n1 -2\n3\n", 3, "clause not ended by 0"),
+        ("p cnf 3 2\n1 -2 3 0\n1 -2\n%\n", 3, "clause not ended by 0"),
+        ("p cnf 3 2\n1 -2 3 0 1\n-2 0\n", 3, "expected 3 literals, got 2"),
+        ("p cnf 3 1\n1 -2\n3 x 0\n", 3, "bad literal 'x'"),
+        ("p cnf 3 1\n1 -2\n3 4 0\n", 3, "literal 4 out of range"),
+    ],
+    ids=["open-at-end", "open-at-trailer", "short-clause", "bad-token", "out-of-range"],
+)
+def test_dimacs_errors_name_the_line_at_fault(tmp_path, text, line_no, message):
+    path = tmp_path / "f.cnf"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as info:
+        parse_dimacs(path)
+    assert info.value.line_no == line_no
+
+
 def test_truth_table_basics():
     assert truth_table_satisfiable(1, [(1, 1, 1)])
     assert not truth_table_satisfiable(1, [(1, 1, 1), (-1, -1, -1)])

@@ -215,6 +215,15 @@ def test_unknown_iri_in_a_later_pattern_errors_after_an_empty_level(tmp_path):
         evaluate_bgp(sq, kg)
 
 
+def test_a_selected_variable_no_pattern_names_is_rejected_before_any_join(monkeypatch, mini_kg):
+    sq = StructuredQuery(select_vars=["x", "y"], patterns=[(Var("x"), "rdf:type", "dbo:Scientist")], text="")
+    calls = []
+    monkeypatch.setattr(KnowledgeGraph, "match_pattern", lambda self, *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"selected variable \?y appears in no pattern"):
+        evaluate_bgp(sq, mini_kg)
+    assert calls == []
+
+
 def test_class_typed_join_plans_no_cross_product(monkeypatch, mini_kg):
     """Mini query q03.  The plan takes Princeton's alumni first (6 triples),
     filters them by the Scientist type, binds ?v2 through almaMater and
